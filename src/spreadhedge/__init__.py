@@ -1,10 +1,11 @@
 """Super-replication pricing under proportional transaction costs on finite scenario trees.
 
 The package builds the primal hedging linear program and the dual
-consistent-price-system linear program for a claim on a finite event tree,
-solves both with a certified dense simplex kernel, and certifies that the
-duality gap vanishes.  Strategy and price-system verification routines make
-every step of the argument checkable on its own.
+consistent-price-system linear program for a claim on a finite event tree.
+Pricing solves the hedging LP with a certified dense simplex kernel, reads an
+optimal price system off its multipliers, and certifies that the duality gap
+vanishes; the dual LP is the independent oracle.  Strategy and price-system
+verification routines make every step of the argument checkable on its own.
 """
 
 from .errors import (

@@ -22,7 +22,6 @@ from .errors import (
     BadFrictionGap,
     CertificateFailure,
     DualInfeasible,
-    NotStrict,
     ParseError,
     PreconditionViolated,
     ShapeMismatch,
@@ -257,24 +256,6 @@ def _fmt_bool(v) -> str:
     return "true" if v else "false"
 
 
-def _report_row(rep: SuperHedgeReport) -> dict:
-    c = rep.certificates
-    return {
-        "lambda": repr(rep.lam),
-        "primal": repr(rep.primal_value),
-        "dual": repr(rep.dual_value),
-        "gap": f"{rep.gap:.1e}",
-        "mode": "nb" if rep.cap.kind == "numeraire_based" else "nf",
-        "cap": "inf" if not rep.cap.is_bounded else repr(rep.cap.bound),
-        "cert_self_financing": _fmt_bool(c.get("self_financing")),
-        "cert_terminal_dominates": _fmt_bool(c.get("terminal_dominates")),
-        "cert_admissibility": _fmt_bool(c.get("admissibility")),
-        "cert_cps": _fmt_bool(c.get("cps")),
-        "cert_supermartingale": _fmt_bool(c.get("supermartingale")),
-        "cert_complementary_slackness": _fmt_bool(c.get("complementary_slackness")),
-    }
-
-
 def emit_report(report, fmt: str) -> str:
     """Render one report or a curve of reports deterministically.
 
@@ -297,27 +278,24 @@ def emit_report(report, fmt: str) -> str:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     rows = []
-    for r, d in zip(reports, dicts):
-        if isinstance(r, SuperHedgeReport):
-            rows.append(_report_row(r))
-        else:
-            c = d.get("certificates", {})
-            rows.append(
-                {
-                    "lambda": repr(d["lambda"]),
-                    "primal": repr(d["primal"]),
-                    "dual": repr(d["dual"]),
-                    "gap": f"{float(d['gap']):.1e}",
-                    "mode": d["mode"],
-                    "cap": str(d["cap"]),
-                    "cert_self_financing": _fmt_bool(c.get("self_financing")),
-                    "cert_terminal_dominates": _fmt_bool(c.get("terminal_dominates")),
-                    "cert_admissibility": _fmt_bool(c.get("admissibility")),
-                    "cert_cps": _fmt_bool(c.get("cps")),
-                    "cert_supermartingale": _fmt_bool(c.get("supermartingale")),
-                    "cert_complementary_slackness": _fmt_bool(c.get("complementary_slackness")),
-                }
-            )
+    for d in dicts:
+        c = d["certificates"]
+        rows.append(
+            {
+                "lambda": repr(d["lambda"]),
+                "primal": repr(d["primal"]),
+                "dual": repr(d["dual"]),
+                "gap": f"{float(d['gap']):.1e}",
+                "mode": d["mode"],
+                "cap": str(d["cap"]),
+                "cert_self_financing": _fmt_bool(c.get("self_financing")),
+                "cert_terminal_dominates": _fmt_bool(c.get("terminal_dominates")),
+                "cert_admissibility": _fmt_bool(c.get("admissibility")),
+                "cert_cps": _fmt_bool(c.get("cps")),
+                "cert_supermartingale": _fmt_bool(c.get("supermartingale")),
+                "cert_complementary_slackness": _fmt_bool(c.get("complementary_slackness")),
+            }
+        )
 
     if fmt == "csv":
         lines = [",".join(CSV_COLUMNS)]
@@ -685,7 +663,7 @@ def main(argv=None) -> int:
     except (DualInfeasible,) as exc:
         sys.stdout.write(json.dumps({"reason": "dual_infeasible", "detail": str(exc)}) + "\n")
         return 2
-    except (CertificateFailure, UnverifiedInput, NotStrict, PreconditionViolated) as exc:
+    except (CertificateFailure, UnverifiedInput, PreconditionViolated) as exc:
         sys.stdout.write(json.dumps({"reason": "certificate_failure", "detail": str(exc)}) + "\n")
         return 2
     except OSError as exc:

@@ -25,7 +25,6 @@ from .errors import (
     BadFrictionGap,
     CertificateFailure,
     MismatchedTrees,
-    NotStrict,
     ParseError,
     PreconditionViolated,
     ShapeMismatch,
@@ -302,14 +301,10 @@ def supermartingale_check(
     ``(z0, z1)`` and hence their roundoff are stated; ``S * z0`` bounds the
     stock leg's size at the node.  The ``witness`` reports ``(node, deficit)``
     with the deficit in these z0-weighted units.
-
-    Requires a strict system (the density must not vanish).
     """
     lam = _rate(lam)
     if cps.node_count != tree.node_count:
         raise ShapeMismatch("price system does not index this tree")
-    if not cps.strict:
-        raise NotStrict("supermartingale check needs a strictly positive density")
     path = portfolio_path(tree, lam, strategy)
     value = path.phi0 * cps.z0 + path.phi1 * cps.z1
     for i in tree.internal:

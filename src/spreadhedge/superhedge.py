@@ -6,9 +6,11 @@ flat and terminal bonds dominate the payoff, optionally under a liquidation
 floor at every node.  ``build_dual`` encodes the richest pricing measure:
 maximize the expected payoff over all consistent price systems.  On a finite
 tree both problems are ordinary LPs and strong duality makes the
-super-replication price equal the dual value exactly; ``superhedge_price``
-solves both sides, extracts the optimal strategy and price system, and checks
-every certificate it can state.
+super-replication price equal the dual value exactly.  ``superhedge_price``
+solves only the hedging LP: its multipliers already form an optimal price
+system (``dual_cps_from_primal``), so one solve yields the hedge, the price
+system and the zero-gap certificate between the two.  ``build_dual`` stays as
+the independent oracle and for the ``dual`` command.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ import numpy as np
 
 from .cps import (
     ConsistentPriceSystem,
-    mix_cps,
-    random_cps,
+    expected_claim,
     supermartingale_check,
     verify_cps,
 )
@@ -379,22 +380,28 @@ def strict_feasible_cps(tree: ScenarioTree, lam) -> ConsistentPriceSystem | None
 
 
 def has_cps(tree: ScenarioTree, lam) -> bool:
-    """Feasibility probe: does any consistent price system exist at this rate?"""
-    try:
-        strict_feasible_cps(tree, lam)
-    except DualInfeasible:
-        return False
-    return True
+    """Feasibility probe: does any consistent price system exist at this rate?
+
+    By Farkas' lemma a price system exists exactly when the zero claim's
+    unbounded-cap hedging LP is bounded: otherwise some self-financing
+    strategy ends with unbounded free bonds, an arbitrage.
+    """
+    zero = ClaimSpec({int(l): 0.0 for l in tree.leaves})
+    lp, _ = build_primal(tree, lam, zero, AdmissibilityCap.unbounded())
+    return solve(lp).status != "unbounded"
 
 
 @dataclass
 class SuperHedgeReport:
     """Everything a pricing run certifies, in one place.
 
-    ``gap`` is ``|primal - dual|``; with an unbounded cap it is asserted to
-    be at most 1e-7 before the report is returned.  ``cps`` is the dual
-    optimizer (possibly with vanishing density somewhere); ``cps_strict`` is
-    a near-optimal strictly positive representative when one exists.
+    ``dual_value`` is ``E_Q[X]`` under ``cps`` and ``gap`` is
+    ``|primal - dual|``; with an unbounded cap the gap is asserted to be at
+    most 1e-7 before the report is returned.  ``cps`` is the optimal price
+    system read off the unbounded-cap hedging LP's multipliers; its density
+    may vanish at some nodes.  ``cps_strict`` is ``cps`` when that is strict,
+    else None.  ``dual_status`` is the status of that pricing LP, which is
+    ``"optimal"`` on every returned report.
     """
 
     lam: float
@@ -440,47 +447,58 @@ def superhedge_price(
     lam,
     claim: ClaimSpec,
     cap: AdmissibilityCap | None = None,
-    *,
-    strict_seed: int = 20_250_101,
 ) -> SuperHedgeReport:
-    """Price a claim by solving both sides of the duality and certifying them.
+    """Price a claim from the hedging LP and certify hedge and price system.
 
-    With the default unbounded cap the duality gap is asserted to vanish (at
-    1e-7); the extracted strategy is checked self-financing and admissible at
-    its own minimal bound, the extracted price system is verified, and the
-    paired value ``phi0 * z0 + phi1 * z1`` of the hedge against a strict
-    representative is checked to be a supermartingale under the physical
-    measure (the division-free form of shadow wealth being a
-    Q-supermartingale).
-    A bounded cap may price higher, and its primal may be infeasible: that is
-    reported, not raised.  ``DualInfeasible`` is raised when no price system
-    exists at all — the market itself admits arbitrage at this friction.
+    The unbounded-cap hedging LP is solved once.  Its optimum is the price
+    and its multipliers give the price system (``dual_cps_from_primal``);
+    the price system is verified on its own, and the gap
+    ``|x0 - E_Q[X]|`` between the two independently checked objects is
+    asserted to vanish (at 1e-7), which by weak duality proves both optimal.
+    The extracted strategy is checked self-financing and admissible at its
+    own minimal bound, and the paired value ``phi0 * z0 + phi1 * z1`` of the
+    hedge against the price system is checked to be a supermartingale under
+    the physical measure (the division-free form of shadow wealth being a
+    Q-supermartingale, valid whether or not the density vanishes somewhere).
+    A bounded cap adds one solve of the capped hedging LP for the hedge and
+    the primal value; the dual value and price system stay those of the
+    cap-free program.  The capped price may be higher; a capped LP that ends
+    without an optimum is reported, not raised.  ``DualInfeasible`` is raised
+    when the unbounded-cap LP is unbounded, that is, when no price system
+    exists at all: the market itself admits arbitrage at this friction.
     """
     lam = _rate(lam)
     cap = cap or AdmissibilityCap.unbounded()
     claim.validate(tree)
 
-    dual_lp, dmap = build_dual(tree, lam, claim)
-    dual_sol = solve(dual_lp)
-    if dual_sol.status == "infeasible":
+    pricing_lp, pricing_map = build_primal(tree, lam, claim, AdmissibilityCap.unbounded())
+    pricing_sol = solve(pricing_lp)
+    if pricing_sol.status == "unbounded":
         raise DualInfeasible(
             f"no consistent price system at rate {lam}: the tree admits arbitrage"
         )
-    if dual_sol.status != "optimal":
-        raise CertificateFailure(f"dual program ended with status {dual_sol.status}")
-    dual_value = dual_sol.objective
+    if pricing_sol.status != "optimal":
+        raise CertificateFailure(f"hedging program ended with status {pricing_sol.status}")
+    cps = dual_cps_from_primal(tree, lam, pricing_sol, pricing_map)
+    dual_value = expected_claim(tree, cps, claim)
+    complementary_slackness = verify_certificate(pricing_lp, pricing_sol).ok
 
-    primal_lp, pmap = build_primal(tree, lam, claim, cap)
-    primal_sol = solve(primal_lp)
-    if primal_sol.status == "unbounded":
-        raise CertificateFailure(
-            "primal unbounded although a price system exists; this should be impossible"
-        )
+    if cap.is_bounded:
+        primal_lp, pmap = build_primal(tree, lam, claim, cap)
+        primal_sol = solve(primal_lp)
+        if primal_sol.status == "unbounded":
+            raise CertificateFailure(
+                "capped program unbounded although the cap-free one is bounded"
+            )
+        if primal_sol.status == "optimal":
+            complementary_slackness = (
+                complementary_slackness and verify_certificate(primal_lp, primal_sol).ok
+            )
+    else:
+        primal_sol, pmap = pricing_sol, pricing_map
 
     certificates: dict = {}
     strategy = None
-    cps = None
-    cps_strict = None
     computed_bound = math.nan
     if primal_sol.status == "optimal":
         primal_value = primal_sol.objective
@@ -511,35 +529,14 @@ def superhedge_price(
         certificates["terminal_dominates"] = None
         certificates["admissibility"] = None
 
-    cps = extract_cps(dual_sol, dmap, tree, lam)
     certificates["cps"] = bool(verify_cps(tree, lam, cps))
-
-    if cps.strict:
-        cps_strict = cps
-    else:
-        witness = None
-        try:
-            witness = random_cps(tree, lam, strict_seed)
-        except (ValidationError, CertificateFailure):
-            witness = strict_feasible_cps(tree, lam)
-        if witness is not None:
-            cps_strict = mix_cps(witness, cps, 1e-6)
-            if not verify_cps(tree, lam, cps_strict):
-                cps_strict = None
-
-    if strategy is not None and cps_strict is not None:
+    if strategy is not None:
         certificates["supermartingale"] = bool(
-            supermartingale_check(tree, lam, cps_strict, strategy)
+            supermartingale_check(tree, lam, cps, strategy)
         )
     else:
         certificates["supermartingale"] = None
-
-    cert_dual = verify_certificate(dual_lp, dual_sol)
-    if primal_sol.status == "optimal":
-        cert_primal = verify_certificate(primal_lp, primal_sol)
-        certificates["complementary_slackness"] = cert_primal.ok and cert_dual.ok
-    else:
-        certificates["complementary_slackness"] = cert_dual.ok
+    certificates["complementary_slackness"] = complementary_slackness
 
     gap = abs(primal_value - dual_value) if np.isfinite(primal_value) else math.inf
     if not cap.is_bounded:
@@ -554,13 +551,13 @@ def superhedge_price(
         bound_kind=claim.bound_kind,
         claim_bound=claim.lower_bound(tree),
         primal_status=primal_sol.status,
-        dual_status=dual_sol.status,
+        dual_status=pricing_sol.status,
         primal_value=primal_value,
         dual_value=dual_value,
         gap=gap,
         strategy=strategy,
         cps=cps,
-        cps_strict=cps_strict,
+        cps_strict=cps if cps.strict else None,
         computed_cap_bound=computed_bound,
         certificates=certificates,
     )

@@ -2,8 +2,16 @@ import json
 
 import pytest
 
-from spreadhedge import ParseError, dumps_tree, generate_random_tree, random_cps
-from spreadhedge.cli import main, parse_payoff_expr
+from spreadhedge import (
+    AdmissibilityCap,
+    ClaimSpec,
+    ParseError,
+    dumps_tree,
+    generate_random_tree,
+    random_cps,
+    superhedge_price,
+)
+from spreadhedge.cli import emit_report, main, parse_payoff_expr
 from tests.conftest import B1_JSON
 
 RISING_JSON = json.dumps(
@@ -388,6 +396,24 @@ class TestGenerationAndReport:
         assert len(lines) == 6  # header plus five friction levels
         prices = [float(l.split(",")[1]) for l in lines[1:]]
         assert prices == sorted(prices)
+
+    def test_report_renders_identically_after_json_round_trip(self):
+        tree = generate_random_tree(7, 3, 2)
+        s0 = float(tree.price[0])
+        claim = ClaimSpec({int(l): max(float(tree.price[l]) - s0, 0.0) - 5.0 for l in tree.leaves})
+        caps = [
+            AdmissibilityCap.unbounded(),
+            AdmissibilityCap.numeraire_based(2.0),
+            AdmissibilityCap.numeraire_free(0.05),
+        ]
+        reports = [
+            superhedge_price(tree, lam, claim, cap) for lam in (0.0, 0.05, 0.2) for cap in caps
+        ]
+        saved = json.loads(emit_report(reports, "json"))
+        for fmt in ("text", "csv", "json"):
+            assert emit_report(saved, fmt) == emit_report(reports, fmt)
+            for rep, doc in zip(reports, saved):
+                assert emit_report(doc, fmt) == emit_report(rep, fmt)
 
     def test_missing_file_is_input_error(self, tmp_path):
         code = main(

@@ -10,7 +10,6 @@ from spreadhedge import (
     ClaimSpec,
     ConsistentPriceSystem,
     MismatchedTrees,
-    NotStrict,
     PreconditionViolated,
     ShapeMismatch,
     Strategy,
@@ -152,12 +151,25 @@ class TestSupermartingale:
         assert not check
         assert check.witness[0] == 0
 
-    def test_requires_strict_density(self, b1):
-        cps = ConsistentPriceSystem.from_maps(
-            b1, {0: 1.0, 1: 2.0, 2: 0.0}, {0: 94.0, 1: 220.0, 2: 0.0}
+    def test_non_strict_system(self):
+        # the optimal system of a suite instance has zero density at some
+        # nodes; the division-free check works with it directly
+        tree, claim, lam = suite_instance(55)
+        rep = superhedge_price(tree, lam, claim)
+        cps = rep.cps
+        assert not cps.strict
+        assert supermartingale_check(tree, lam, cps, rep.strategy)
+
+        node = next(
+            i for i in tree.internal if min(cps.z0[k] for k in tree.children[i]) == 0.0
         )
-        with pytest.raises(NotStrict):
-            supermartingale_check(b1, 0.1, cps, Strategy.zero(b1))
+        kid = max(tree.children[node], key=lambda k: tree.cond_prob[k] * cps.z0[k])
+        injected = Strategy.from_trades(tree, {kid: {"consume": -1.0}})
+        check = supermartingale_check(tree, lam, cps, injected)
+        assert not check
+        assert check.witness[0] == node
+        expected = tree.cond_prob[kid] * cps.z0[kid]
+        assert abs(check.witness[1] - expected) <= 1e-12 * expected
 
     def test_tiny_density_node(self):
         # the optimal system of a suite instance touches the boundary; a 1e-6

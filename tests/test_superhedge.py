@@ -30,6 +30,7 @@ from spreadhedge import (
 )
 from spreadhedge.strategy import Strategy, minimal_admissibility_bound, portfolio_path
 from spreadhedge.superhedge import has_cps
+from tests.test_acceptance import suite_instance
 
 UNBOUNDED = AdmissibilityCap.unbounded()
 
@@ -112,6 +113,7 @@ class TestSuperhedgePrice:
         tree = load_tree(json.dumps(doc))
         with pytest.raises(DualInfeasible):
             superhedge_price(tree, 0.1, ClaimSpec({1: 0.0}))
+        assert not has_cps(tree, 0.1)
         # a wide enough spread supports the flat shadow price again
         assert has_cps(tree, 0.2)
 
@@ -151,6 +153,8 @@ class TestSuperhedgePrice:
         # a huge floor reproduces the unconstrained price
         huge = superhedge_price(b1, 0.1, claim, AdmissibilityCap.numeraire_based(1e6))
         assert abs(huge.primal_value - free.primal_value) < 1e-9
+        # the reported dual value is the cap-free price
+        assert abs(mid.dual_value - free.primal_value) < 1e-9
         assert is_self_financing(b1, 0.1, mid.strategy)
         assert check_admissibility(
             b1, 0.1, mid.strategy, AdmissibilityCap.numeraire_based(100.0 / 9.0)
@@ -169,6 +173,20 @@ class TestSuperhedgePrice:
 
 
 class TestDualOfPrimal:
+    def test_price_matches_dual_lp_oracle(self):
+        caps = [
+            UNBOUNDED,
+            AdmissibilityCap.numeraire_based(100.0),
+            AdmissibilityCap.numeraire_free(1.0),
+        ]
+        for seed in range(1, 41):
+            tree, claim, lam = suite_instance(seed)
+            ref = solve(build_dual(tree, lam, claim)[0]).objective
+            for cap in caps:
+                rep = superhedge_price(tree, lam, claim, cap)
+                assert abs(rep.dual_value - ref) <= 1e-9 * max(1.0, abs(ref)), (seed, cap)
+                assert verify_cps(tree, lam, rep.cps), (seed, cap)
+
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(seed=st.integers(1, 10_000))
     def test_multipliers_form_feasible_price_system(self, seed):
