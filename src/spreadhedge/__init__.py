@@ -15,7 +15,6 @@ from .errors import (
     DualInfeasible,
     MismatchedTrees,
     NotAnAntichain,
-    NotStrict,
     NumericalBreakdown,
     ParseError,
     PreconditionViolated,
@@ -77,10 +76,8 @@ from .superhedge import (
     build_dual,
     build_primal,
     dual_cps_from_primal,
-    extract_cps,
     extract_strategy,
     price_curve,
-    strict_feasible_cps,
     superhedge_price,
     variation_bound_check,
 )

@@ -47,13 +47,10 @@ from .strategy import (
 )
 from .superhedge import (
     SuperHedgeReport,
-    build_dual,
-    extract_cps,
     has_cps,
     superhedge_price,
     variation_bound_check,
 )
-from .lp import solve
 
 __all__ = ["RunConfig", "run", "emit_report", "parse_payoff_expr", "main"]
 
@@ -383,14 +380,18 @@ def _cmd_dual(cfg: RunConfig) -> int:
     tree = _load_tree(cfg.tree_path)
     claim = _load_claim(cfg, tree)
     lam = cfg.lambdas[0]
-    lp, dmap = build_dual(tree, lam, claim)
-    sol = solve(lp)
-    if sol.status == "infeasible":
-        return _finding(cfg, "dual_infeasible", f"no consistent price system at rate {lam}")
-    cps = extract_cps(sol, dmap, tree, lam)
+    try:
+        report = superhedge_price(tree, lam, claim)
+    except DualInfeasible as exc:
+        return _finding(cfg, "dual_infeasible", str(exc))
+    except CertificateFailure as exc:
+        return _finding(cfg, "certificate_failure", str(exc))
+    if not report.certificates["cps"]:
+        return _finding(cfg, "certificate_failure", "optimal price system fails verification")
+    cps = report.cps
     payload = {
         "lambda": lam,
-        "dual": sol.objective,
+        "dual": report.dual_value,
         "cps": cps.to_json(),
         "strict": cps.strict,
     }
@@ -399,7 +400,7 @@ def _cmd_dual(cfg: RunConfig) -> int:
     else:
         _write_output(
             cfg,
-            f"lambda {lam!r}\ndual   {sol.objective!r}\nstrict {str(cps.strict).lower()}\n",
+            f"lambda {lam!r}\ndual   {report.dual_value!r}\nstrict {str(cps.strict).lower()}\n",
         )
     return 0
 

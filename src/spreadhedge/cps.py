@@ -133,17 +133,19 @@ class ConsistentPriceSystem:
         return cls.from_maps(tree, z0, z1)
 
 
-def _required_nodes(tree: ScenarioTree, stop) -> np.ndarray:
-    """Mask of nodes with no strict ancestor in ``stop`` (the truncated market)."""
-    if stop is None:
-        return np.ones(tree.node_count, dtype=bool)
-    ids = _stop_ids(tree, stop)
-    mask = np.ones(tree.node_count, dtype=bool)
-    for i in tree.order:
-        p = tree.parent[i]
-        if p >= 0 and (not mask[p] or p in ids):
-            mask[i] = False
-    return mask
+def _stop_above(tree: ScenarioTree, stop) -> np.ndarray:
+    """Per node, the stop node at or above it, or -1 while the stop has not
+    fired (everywhere for ``stop=None``).
+
+    A stop set is an antichain, so every root path holds at most one stop
+    node and the path sum of ``id + 1`` over the stop nodes names it.  The
+    truncated market is the mask ``(above < 0) | (above == node)``.
+    """
+    mark = np.zeros(tree.node_count)
+    if stop is not None:
+        ids = np.fromiter(_stop_ids(tree, stop), dtype=np.int64)
+        mark[ids] = ids + 1.0
+    return tree.path_sum(mark).astype(np.int64) - 1
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,8 @@ def verify_cps(
         raise ShapeMismatch(
             f"price system indexes {cps.node_count} nodes, tree has {tree.node_count}"
         )
-    required = _required_nodes(tree, stop)
+    above = _stop_above(tree, stop)
+    required = (above < 0) | (above == np.arange(tree.node_count))
     have = cps.support_mask()
     if (required & ~have).any():
         missing = np.flatnonzero(required & ~have)[:5].tolist()
@@ -199,21 +202,11 @@ def verify_cps(
 
     record("root", np.array([abs(z0[0] - 1.0)]), np.array([0]))
 
-    stop_ids = _stop_ids(tree, stop) if stop is not None else frozenset()
-    branch_nodes = np.array(
-        [i for i in tree.internal if required[i] and i not in stop_ids], dtype=np.int64
-    )
-    if branch_nodes.size:
-        res = np.empty(branch_nodes.size)
-        for k, i in enumerate(branch_nodes):
-            kids = list(tree.children[i])
-            p = tree.cond_prob[kids]
-            r0 = abs(z0[i] - float(p @ z0[kids]))
-            r1 = abs(z1[i] - float(p @ z1[kids]))
-            res[k] = max(r0, r1) / scale[i]
-        record("martingale", res, branch_nodes)
-    else:
-        record("martingale", np.zeros(0), branch_nodes)
+    # branch points strictly before the stop fires
+    branch = tree.internal[above[tree.internal] < 0]
+    z = np.column_stack([z0, z1])
+    drift = np.abs(z - tree.children_mean(z))
+    record("martingale", drift[branch].max(axis=1) / scale[branch], branch)
 
     nodes = np.flatnonzero(required)
     lo = (1.0 - lam) * S[nodes] * z0[nodes] - z1[nodes]
@@ -307,12 +300,13 @@ def supermartingale_check(
         raise ShapeMismatch("price system does not index this tree")
     path = portfolio_path(tree, lam, strategy)
     value = path.phi0 * cps.z0 + path.phi1 * cps.z1
-    for i in tree.internal:
-        kids = list(tree.children[i])
-        expected = float(tree.cond_prob[kids] @ value[kids])
-        scale = max(1.0, abs(value[i]), tree.price[i] * cps.z0[i])
-        if value[i] < expected - tol * scale:
-            return SupermartingaleCheck(False, (int(i), float(expected - value[i])))
+    expected = tree.children_mean(value)
+    scale = np.maximum(np.maximum(1.0, np.abs(value)), tree.price * cps.z0)
+    internal = tree.internal
+    bad = internal[value[internal] < expected[internal] - tol * scale[internal]]
+    if bad.size:
+        i = int(bad[0])
+        return SupermartingaleCheck(False, (i, float(expected[i] - value[i])))
     return SupermartingaleCheck(True, None)
 
 
@@ -350,30 +344,13 @@ def concatenate_cps(
     if not cps_global.strict:
         raise UnverifiedInput("global system must have a strictly positive density")
 
-    ids = _stop_ids(tree, stop)
-    n = tree.node_count
-    z0 = np.empty(n)
-    z1 = np.empty(n)
-    # splice[i] = stop node at or above i, or -1 while the stop has not fired
-    splice = np.full(n, -1, dtype=np.int64)
-    for i in tree.order:
-        p = tree.parent[i]
-        inherited = -1 if p < 0 else splice[p]
-        if inherited < 0:
-            z0[i] = cps_local.z0[i]
-            z1[i] = (1.0 - lam_p) * cps_local.z1[i]
-            if i in ids:
-                splice[i] = i
-        else:
-            a = inherited
-            z0[i] = cps_global.z0[i] * cps_local.z0[a] / cps_global.z0[a]
-            z1[i] = (
-                (1.0 - lam_p)
-                * cps_global.z1[i]
-                * cps_local.z1[a]
-                / cps_global.z1[a]
-            )
-            splice[i] = a
+    above = _stop_above(tree, stop)
+    after = (above >= 0) & (above != np.arange(tree.node_count))
+    a = above[after]
+    z0 = cps_local.z0.copy()
+    z1 = (1.0 - lam_p) * cps_local.z1
+    z0[after] = cps_global.z0[after] * cps_local.z0[a] / cps_global.z0[a]
+    z1[after] = (1.0 - lam_p) * cps_global.z1[after] * cps_local.z1[a] / cps_global.z1[a]
     out = ConsistentPriceSystem(z0, z1)
     check = verify_cps(tree, lam, out)
     if not check:
@@ -406,31 +383,19 @@ def stopped_martingale_check(
         raise ShapeMismatch("process must assign a value to every node")
     if (x < -tol).any():
         raise PreconditionViolated("process must be nonnegative")
-    ids = _stop_ids(tree, stop)
-    before = set()
-    for i in ids:
-        before.update(tree.ancestors(i))
-    for i in before:
-        if x[i] > bound + tol * max(1.0, bound):
-            raise PreconditionViolated(
-                f"process exceeds bound {bound} at pre-stop node {i}: {x[i]}"
-            )
-    frozen = np.empty(tree.node_count)
-    stopped = np.zeros(tree.node_count, dtype=bool)
-    for i in tree.order:
-        p = tree.parent[i]
-        if p >= 0 and stopped[p]:
-            frozen[i] = frozen[p]
-            stopped[i] = True
-        else:
-            frozen[i] = x[i]
-            stopped[i] = i in ids
-    for i in tree.internal:
-        kids = list(tree.children[i])
-        expected = float(tree.cond_prob[kids] @ frozen[kids])
-        if abs(frozen[i] - expected) > tol * max(1.0, abs(frozen[i])):
-            return False
-    return True
+    above = _stop_above(tree, stop)
+    nodes = np.arange(tree.node_count)
+    # strict ancestors of stop nodes: their subtree holds a stop node below them
+    is_stop = above == nodes
+    before = np.flatnonzero(tree.subtree_sum(is_stop) - is_stop > 0)
+    over = before[x[before] > bound + tol * max(1.0, bound)]
+    if over.size:
+        i = int(over[0])
+        raise PreconditionViolated(f"process exceeds bound {bound} at pre-stop node {i}: {x[i]}")
+    frozen = x[np.where(above >= 0, above, nodes)]
+    internal = tree.internal
+    drift = np.abs(frozen - tree.children_mean(frozen))[internal]
+    return not (drift > tol * np.maximum(1.0, np.abs(frozen[internal]))).any()
 
 
 def mix_cps(
@@ -476,8 +441,8 @@ def random_cps(
     lam = _rate(lam)
     rng = np.random.default_rng(int(seed))
     n = tree.node_count
-    required = _required_nodes(tree, stop)
-    ids = _stop_ids(tree, stop) if stop is not None else frozenset()
+    above = _stop_above(tree, stop)
+    required = (above < 0) | (above == np.arange(n))
 
     S = tree.price
     shadow = np.full(n, np.nan)
@@ -492,7 +457,7 @@ def random_cps(
     shadow[0] = interior((1.0 - lam) * S[0], S[0])
     z0[0] = 1.0
     for i in tree.order:
-        if not required[i] or i in ids or not tree.children[i]:
+        if above[i] >= 0 or not tree.children[i]:
             continue
         kids = np.array(tree.children[i], dtype=np.int64)
         lo = (1.0 - lam) * S[kids]

@@ -37,10 +37,6 @@ class UnverifiedInput(SpreadHedgeError):
     """An input price system failed verification at its declared friction."""
 
 
-class NotStrict(SpreadHedgeError):
-    """Operation requires a strictly positive density component."""
-
-
 class MismatchedTrees(SpreadHedgeError):
     """Two node-indexed objects do not live on the same tree."""
 

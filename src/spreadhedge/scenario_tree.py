@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ParseError, UnknownNode, ValidationError
+from .errors import NotAnAntichain, ParseError, UnknownNode, ValidationError
 
 __all__ = [
     "Node",
@@ -62,6 +62,15 @@ class ScenarioTree:
     * prices are strictly positive,
     * ids are dense ``0..node_count-1``; children are kept in ascending id
       order so every iteration (and LP column order) is deterministic.
+
+    Strategies, price systems and the hedging LP walk the tree in three
+    ways, each done here one time step at a time:
+
+    * ``path_sum`` sums along the root path (holdings from trades),
+    * ``subtree_sum`` sums over the descendants (densities from leaf
+      weights),
+    * ``children_mean`` takes the one-step conditional expectation
+      (martingale and supermartingale identities).
     """
 
     __slots__ = (
@@ -76,6 +85,7 @@ class ScenarioTree:
         "leaves",
         "internal",
         "order",
+        "levels",
         "path_prob",
     )
 
@@ -142,10 +152,12 @@ class ScenarioTree:
         if time.max() > depth:
             raise ValidationError("a node sits beyond the declared depth")
 
-        order = np.array(sorted(range(n), key=lambda i: (time[i], i)), dtype=np.int64)
+        order = np.argsort(time, kind="stable")
+        levels = tuple(np.split(order, np.cumsum(np.bincount(time))[:-1]))
         path_prob = np.empty(n)
-        for i in order:
-            path_prob[i] = 1.0 if parent[i] < 0 else path_prob[parent[i]] * cond_prob[i]
+        path_prob[root] = 1.0
+        for lvl in levels[1:]:
+            path_prob[lvl] = path_prob[parent[lvl]] * cond_prob[lvl]
 
         self.nodes = nodes
         self.depth = int(depth)
@@ -158,8 +170,10 @@ class ScenarioTree:
         self.leaves = np.array([i for i in range(n) if not children[i]], dtype=np.int64)
         self.internal = np.array([i for i in range(n) if children[i]], dtype=np.int64)
         self.order = order
+        self.levels = levels
         self.path_prob = path_prob
-        for arr in (parent, time, cond_prob, price, self.leaves, self.internal, order, path_prob):
+        frozen = (parent, time, cond_prob, price, self.leaves, self.internal, order, path_prob)
+        for arr in (*frozen, *levels):
             arr.setflags(write=False)
 
     def check_node(self, node: int) -> int:
@@ -167,6 +181,40 @@ class ScenarioTree:
         if not (0 <= node < self.node_count):
             raise UnknownNode(f"node {node} not in tree with {self.node_count} nodes")
         return node
+
+    def path_sum(self, values) -> np.ndarray:
+        """Sum of ``values`` over the root-to-node path, the node included.
+
+        ``values`` is ``(node_count,)`` or ``(node_count, k)``; each node adds
+        its own value to its parent's finished sum.
+        """
+        out = np.array(values, dtype=float)
+        for lvl in self.levels[1:]:
+            out[lvl] += out[self.parent[lvl]]
+        return out
+
+    def subtree_sum(self, values) -> np.ndarray:
+        """Sum of ``values`` over each node and all its descendants.
+
+        Deepest level first; a parent adds its children's finished sums in
+        descending id order.  Shapes as in ``path_sum``.
+        """
+        out = np.array(values, dtype=float)
+        for lvl in reversed(self.levels[1:]):
+            kids = lvl[::-1]
+            np.add.at(out, self.parent[kids], out[kids])
+        return out
+
+    def children_mean(self, values) -> np.ndarray:
+        """``sum_k cond_prob(k) * values(k)`` over each node's children.
+
+        The physical one-step conditional expectation; 0 at the leaves.
+        Shapes as in ``path_sum``.
+        """
+        v = np.asarray(values, dtype=float)
+        weighted = self.cond_prob[1:, None] * v.reshape(self.node_count, -1)[1:]
+        cols = [np.bincount(self.parent[1:], w, self.node_count) for w in weighted.T]
+        return np.stack(cols, axis=1).reshape(v.shape)
 
     def ancestors(self, node: int) -> list[int]:
         """Strict ancestors of ``node``, nearest first."""
@@ -211,24 +259,13 @@ class Antichain:
     def of(cls, tree: ScenarioTree, nodes: Iterable[int]) -> "Antichain":
         ids = frozenset(int(i) for i in nodes)
         if not is_antichain(tree, ids):
-            from .errors import NotAnAntichain
-
             raise NotAnAntichain(f"set {sorted(ids)} contains an ancestor pair")
         return cls(ids)
 
 
 def _stop_ids(tree: ScenarioTree, stop) -> frozenset[int]:
     """Normalize an antichain argument, validating it against the tree."""
-    if isinstance(stop, Antichain):
-        ids = stop.node_ids
-        for i in ids:
-            tree.check_node(i)
-        if not is_antichain(tree, ids):
-            from .errors import NotAnAntichain
-
-            raise NotAnAntichain(f"set {sorted(ids)} contains an ancestor pair")
-        return ids
-    return Antichain.of(tree, stop).node_ids
+    return Antichain.of(tree, stop.node_ids if isinstance(stop, Antichain) else stop).node_ids
 
 
 _BOUND_KINDS = ("constant", "stock_bond")

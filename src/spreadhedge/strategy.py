@@ -123,14 +123,15 @@ class Strategy:
         return cls(initial, buy, sell, consume)
 
     def to_json(self) -> dict:
-        trades = {}
-        for i in range(self.node_count):
-            if self.buy[i] or self.sell[i] or self.consume[i]:
-                trades[str(i)] = {
-                    "buy": float(self.buy[i]),
-                    "sell": float(self.sell[i]),
-                    "consume": float(self.consume[i]),
-                }
+        active = np.flatnonzero((self.buy != 0) | (self.sell != 0) | (self.consume != 0))
+        trades = {
+            str(i): {
+                "buy": float(self.buy[i]),
+                "sell": float(self.sell[i]),
+                "consume": float(self.consume[i]),
+            }
+            for i in active
+        }
         return {"initial": [self.initial[0], self.initial[1]], "trades": trades}
 
     @classmethod
@@ -175,30 +176,20 @@ def portfolio_path(tree: ScenarioTree, lam, strategy: Strategy) -> PortfolioPath
     """Derive holdings from trades at friction ``lam``."""
     lam = _rate(lam)
     _check_shape(tree, strategy)
-    n = tree.node_count
-    phi0 = np.empty(n)
-    phi1 = np.empty(n)
-    up0 = np.empty(n)
-    down0 = np.empty(n)
-    up1 = np.empty(n)
-    down1 = np.empty(n)
     delta0 = (
         -tree.price * strategy.buy
         + (1.0 - lam) * tree.price * strategy.sell
         - strategy.consume
     )
     x0, y0 = strategy.initial
-    for i in tree.order:
-        p = tree.parent[i]
-        base0, base1 = (x0, y0) if p < 0 else (phi0[p], phi1[p])
-        u0, d0 = (0.0, 0.0) if p < 0 else (up0[p], down0[p])
-        u1, d1 = (0.0, 0.0) if p < 0 else (up1[p], down1[p])
-        phi1[i] = base1 + strategy.buy[i] - strategy.sell[i]
-        phi0[i] = base0 + delta0[i]
-        up0[i] = u0 + max(delta0[i], 0.0)
-        down0[i] = d0 + max(-delta0[i], 0.0)
-        up1[i] = u1 + strategy.buy[i]
-        down1[i] = d1 + strategy.sell[i]
+    moves = np.column_stack(
+        [delta0, np.maximum(delta0, 0.0), np.maximum(-delta0, 0.0), strategy.buy, strategy.sell]
+    )
+    moves[0, 0] += x0
+    phi0, up0, down0, up1, down1 = tree.path_sum(moves).T
+    # the net position from the gross legs, so that phi1 - y0 == up1 - down1
+    # holds exactly whenever adding y0 is exact (always for y0 = 0)
+    phi1 = y0 + (up1 - down1)
     return PortfolioPath(phi0, phi1, up0, down0, up1, down1, delta0)
 
 
@@ -414,17 +405,8 @@ def random_strategy(
     sell = np.where(rng.random(n) < density, rng.exponential(scale, n), 0.0)
     consume = np.where(rng.random(n) < 0.2, rng.exponential(0.1 * scale, n), 0.0)
     if liquidate_at_leaves:
-        stock = np.zeros(n)
-        for i in tree.order:
-            p = tree.parent[i]
-            prev = 0.0 if p < 0 else stock[p]
-            if i in tree.leaves:
-                pos = prev + buy[i] - sell[i]
-                if pos >= 0.0:
-                    sell[i] += pos
-                else:
-                    buy[i] += -pos
-                stock[i] = 0.0
-            else:
-                stock[i] = prev + buy[i] - sell[i]
+        leaves = tree.leaves
+        pos = tree.path_sum(buy - sell)[leaves]
+        sell[leaves] += np.maximum(pos, 0.0)
+        buy[leaves] += np.maximum(-pos, 0.0)
     return Strategy((0.0, 0.0), buy, sell, consume)

@@ -1,4 +1,4 @@
-"""The pricing engine: primal hedging LP, dual price-system LP, zero-gap certification.
+"""The pricing engine: the hedging LP, its price-system dual, zero-gap certification.
 
 ``build_primal`` encodes the cheapest super-replication of a claim: choose an
 initial bond endowment and per-node trades so the terminal stock position is
@@ -9,8 +9,8 @@ tree both problems are ordinary LPs and strong duality makes the
 super-replication price equal the dual value exactly.  ``superhedge_price``
 solves only the hedging LP: its multipliers already form an optimal price
 system (``dual_cps_from_primal``), so one solve yields the hedge, the price
-system and the zero-gap certificate between the two.  ``build_dual`` stays as
-the independent oracle and for the ``dual`` command.
+system and the zero-gap certificate between the two.  ``build_dual`` is kept
+only as the independent test oracle; no runtime path solves it.
 """
 
 from __future__ import annotations
@@ -52,9 +52,7 @@ __all__ = [
     "build_primal",
     "build_dual",
     "extract_strategy",
-    "extract_cps",
     "dual_cps_from_primal",
-    "strict_feasible_cps",
     "has_cps",
     "superhedge_price",
     "variation_bound_check",
@@ -82,16 +80,6 @@ class PrimalVariableMap:
 class DualVariableMap:
     z0: np.ndarray
     z1: np.ndarray
-
-
-def _leaf_ancestry(tree: ScenarioTree) -> list[list[int]]:
-    """Per leaf, the node ids on the root->leaf path (inclusive)."""
-    out = []
-    for leaf in tree.leaves:
-        path = [int(leaf)] + tree.ancestors(int(leaf))
-        path.reverse()
-        out.append(path)
-    return out
 
 
 def build_primal(
@@ -132,54 +120,38 @@ def build_primal(
         names += [f"long[{i}]" for i in range(n)]
         names += [f"short[{i}]" for i in range(n)]
 
-    paths = _leaf_ancestry(tree)
-    n_eq = n_leaves + (n if cap.is_bounded else 0)
-    n_ub = n_leaves + (n if cap.is_bounded else 0)
-    A_eq = np.zeros((n_eq, n_vars))
-    b_eq = np.zeros(n_eq)
-    A_ub = np.zeros((n_ub, n_vars))
-    b_ub = np.zeros(n_ub)
-
     S = tree.price
-    for r, path in enumerate(paths):
-        # terminal stock position is flat
-        for a in path:
-            A_eq[r, buy[a]] = 1.0
-            A_eq[r, sell[a]] = -1.0
-        # terminal bonds dominate the payoff: -phi0(leaf) <= -X(leaf)
-        A_ub[r, x0] = -1.0
-        for a in path:
-            A_ub[r, buy[a]] = S[a]
-            A_ub[r, sell[a]] = -(1.0 - lam) * S[a]
-            A_ub[r, consume[a]] = 1.0
-        b_ub[r] = -x[r]
-
+    # row r covers the trades at the nodes on its root path: leaf rows, then
+    # with a bounded cap one row per node
+    on_path = tree.path_sum(np.eye(n)) > 0
+    rows = on_path[leaves]
+    b_ub = -x
     if cap.is_bounded:
-        ancestry: list[list[int]] = [[] for _ in range(n)]
-        for i in tree.order:
-            p = tree.parent[i]
-            ancestry[i] = ([] if p < 0 else ancestry[p]) + [int(i)]
-        for i in range(n):
-            er = n_leaves + i
-            ur = n_leaves + i
-            # long - short = cumulated net stock position
-            A_eq[er, long_part[i]] = 1.0
-            A_eq[er, short_part[i]] = -1.0
-            for a in ancestry[i]:
-                A_eq[er, buy[a]] = -1.0
-                A_eq[er, sell[a]] = 1.0
-            # liquidation floor: -phi0(i) - (1-lam) S long + S short <= M_floor
-            A_ub[ur, x0] = -1.0
-            for a in ancestry[i]:
-                A_ub[ur, buy[a]] = S[a]
-                A_ub[ur, sell[a]] = -(1.0 - lam) * S[a]
-                A_ub[ur, consume[a]] = 1.0
-            A_ub[ur, long_part[i]] = -(1.0 - lam) * S[i]
-            A_ub[ur, short_part[i]] = S[i]
-            if cap.kind == "numeraire_based":
-                b_ub[ur] = cap.bound
-            else:
-                b_ub[ur] = cap.bound * (1.0 + S[i])
+        rows = np.vstack([rows, on_path])
+        b_ub = np.concatenate([b_ub, -cap.floor(S)])
+    m = rows.shape[0]
+    # np.where keeps every structural zero +0.0
+    net = np.ones((m, 1))
+    net[n_leaves:] = -1.0
+    A_eq = np.zeros((m, n_vars))
+    b_eq = np.zeros(m)
+    # leaf rows: the terminal stock position is flat
+    # node rows: long - short = cumulated net stock position
+    A_eq[:, buy] = np.where(rows, net, 0.0)
+    A_eq[:, sell] = np.where(rows, -net, 0.0)
+    # leaf rows: terminal bonds dominate the payoff, -phi0(leaf) <= -X(leaf)
+    # node rows: liquidation floor, -phi0(i) - (1-lam) S long + S short <= -floor
+    A_ub = np.zeros((m, n_vars))
+    A_ub[:, x0] = -1.0
+    A_ub[:, buy] = np.where(rows, S, 0.0)
+    A_ub[:, sell] = np.where(rows, -(1.0 - lam) * S, 0.0)
+    A_ub[:, consume] = np.where(rows, 1.0, 0.0)
+    if cap.is_bounded:
+        node_rows = np.arange(n_leaves, m)
+        A_eq[node_rows, long_part] = 1.0
+        A_eq[node_rows, short_part] = -1.0
+        A_ub[node_rows, long_part] = -(1.0 - lam) * S
+        A_ub[node_rows, short_part] = S
 
     c = np.zeros(n_vars)
     c[x0] = 1.0
@@ -285,21 +257,6 @@ def extract_strategy(
     return strat
 
 
-def extract_cps(
-    solution: LpSolution, vmap: DualVariableMap, tree: ScenarioTree, lam
-) -> ConsistentPriceSystem:
-    """Read the optimal price system out of a dual solution and verify it."""
-    if solution.status != "optimal":
-        raise CertificateFailure(f"dual solution status is {solution.status}")
-    z0 = np.maximum(np.asarray(solution.x[vmap.z0], dtype=float), 0.0)
-    z1 = np.maximum(np.asarray(solution.x[vmap.z1], dtype=float), 0.0)
-    cps = ConsistentPriceSystem(z0, z1)
-    check = verify_cps(tree, lam, cps)
-    if not check:
-        raise CertificateFailure(f"extracted price system fails verification: {check.worst}")
-    return cps
-
-
 def dual_cps_from_primal(
     tree: ScenarioTree,
     lam,
@@ -318,65 +275,13 @@ def dual_cps_from_primal(
     if vmap.long_part is not None:
         raise ValidationError("multiplier mapping applies to the unbounded-cap program")
     leaves = tree.leaves
-    alpha = np.zeros(tree.node_count)
-    beta = np.zeros(tree.node_count)
-    alpha[leaves] = solution.y_eq[: leaves.size]
-    beta[leaves] = -solution.y_ub[: leaves.size]
-    for i in reversed(tree.order):
-        p = tree.parent[i]
-        if p >= 0:
-            alpha[p] += alpha[i]
-            beta[p] += beta[i]
+    weights = np.zeros((tree.node_count, 2))
+    weights[leaves, 0] = -solution.y_ub[: leaves.size]
+    weights[leaves, 1] = solution.y_eq[: leaves.size]
+    beta, alpha = tree.subtree_sum(weights).T
     z0 = beta / tree.path_prob
     z1 = alpha / tree.path_prob
     return ConsistentPriceSystem(np.maximum(z0, 0.0), np.maximum(z1, 0.0))
-
-
-def strict_feasible_cps(tree: ScenarioTree, lam) -> ConsistentPriceSystem | None:
-    """A price system with the density bounded away from zero, if one exists.
-
-    Maximizes the minimal density value over the feasible polytope.  Returns
-    None when only boundary systems exist; raises ``DualInfeasible`` when the
-    polytope is empty (the market admits arbitrage at this friction).
-    """
-    lam = _rate(lam)
-    zero = ClaimSpec({int(l): 0.0 for l in tree.leaves})
-    lp, vmap = build_dual(tree, lam, zero)
-    n = tree.node_count
-    n_vars = lp.n_vars + 1
-    m_col = lp.n_vars
-    A_eq = np.hstack([lp.A_eq, np.zeros((lp.A_eq.shape[0], 1))])
-    floor_rows = np.zeros((n, n_vars))
-    for i in range(n):
-        floor_rows[i, m_col] = 1.0
-        floor_rows[i, vmap.z0[i]] = -1.0
-    A_ub = np.vstack([np.hstack([lp.A_ub, np.zeros((lp.A_ub.shape[0], 1))]), floor_rows])
-    b_ub = np.concatenate([lp.b_ub, np.zeros(n)])
-    c = np.zeros(n_vars)
-    c[m_col] = 1.0
-    lower = np.concatenate([lp.lower, [-np.inf]])
-    upper = np.concatenate([lp.upper, [np.inf]])
-    aug = LinearProgram(
-        c=c,
-        objective_sense="maximize",
-        A_eq=A_eq,
-        b_eq=lp.b_eq,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        lower=lower,
-        upper=upper,
-    )
-    sol = solve(aug)
-    if sol.status == "infeasible":
-        raise DualInfeasible(f"no consistent price system at rate {lam}")
-    if sol.status != "optimal" or sol.x[m_col] <= 1e-12:
-        return None
-    z0 = np.maximum(sol.x[vmap.z0], 0.0)
-    z1 = np.maximum(sol.x[vmap.z1], 0.0)
-    cps = ConsistentPriceSystem(z0, z1)
-    if not verify_cps(tree, lam, cps):
-        raise CertificateFailure("interior price system failed verification")
-    return cps
 
 
 def has_cps(tree: ScenarioTree, lam) -> bool:

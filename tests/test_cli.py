@@ -5,11 +5,14 @@ import pytest
 from spreadhedge import (
     AdmissibilityCap,
     ClaimSpec,
+    ConsistentPriceSystem,
     ParseError,
     dumps_tree,
     generate_random_tree,
+    load_tree,
     random_cps,
     superhedge_price,
+    verify_cps,
 )
 from spreadhedge.cli import emit_report, main, parse_payoff_expr
 from tests.conftest import B1_JSON
@@ -222,6 +225,18 @@ class TestDualCommand:
         doc = json.loads(capsys.readouterr().out)
         assert abs(doc["dual"] - 140.0 / 9.0) < 1e-9
         assert set(doc["cps"]) == {"z0", "z1"}
+
+    def test_dual_cps_is_the_price_commands_cps(self, files, capsys):
+        deep = files / "deep.json"
+        deep.write_text(dumps_tree(generate_random_tree(7, 5, 2)))
+        for tree_path in (files / "b1.json", deep):
+            args = ["--tree", str(tree_path), "--claim-expr", "max(S-100,0)", "--lambda", "0.1"]
+            assert main(["dual", *args, "--format", "json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            tree = load_tree(tree_path.read_text())
+            assert verify_cps(tree, 0.1, ConsistentPriceSystem.from_json(tree, doc["cps"]))
+            assert main(["price", *args, "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out)["cps"] == doc["cps"]
 
     def test_dual_infeasible_exit_2(self, files, capsys):
         code = main(

@@ -285,6 +285,11 @@ class TestStoppedMartingale:
     def test_freezing_after_stop(self, b1, cps_b1):
         # stop at the root: values after it are frozen, identity holds trivially
         assert stopped_martingale_check(b1, cps_b1.z1, {0}, 100.0)
+        # a drifting process passes once frozen at the root, on every level below
+        assert not stopped_martingale_check(b1, np.array([5.0, 10.0, 2.0]), {1, 2}, 5.0)
+        assert stopped_martingale_check(b1, np.array([5.0, 10.0, 2.0]), {0}, 5.0)
+        tree = generate_random_tree(3, depth=3, max_branching=3)
+        assert stopped_martingale_check(tree, tree.price, {0}, 0.0)
 
 
 class TestMix:

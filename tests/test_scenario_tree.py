@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,6 +119,66 @@ class TestPathProbability:
     def test_unknown_node(self, b1):
         with pytest.raises(UnknownNode):
             path_probability(b1, 7)
+
+
+def _traversal_cases():
+    """Seeded binary and ternary trees of depth 1-6, with 1-D and 2-D values
+    spread over six decades so that summation order shows in the last bits."""
+    for seed in range(50):
+        tree = generate_random_tree(seed, depth=1 + seed % 6, max_branching=2 + seed % 2)
+        rng = np.random.default_rng(seed)
+        for shape in ((tree.node_count,), (tree.node_count, 3)):
+            yield tree, rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+
+
+class TestTraversals:
+    """The level-at-a-time walks against the node loops they replace."""
+
+    def test_levels_split_order_by_time(self):
+        for tree, _ in _traversal_cases():
+            assert len(tree.levels) == tree.depth + 1
+            assert np.array_equal(np.concatenate(tree.levels), tree.order)
+            for t, lvl in enumerate(tree.levels):
+                assert (tree.time[lvl] == t).all()
+
+    def test_path_sum_matches_root_down_loop(self):
+        for tree, v in _traversal_cases():
+            ref = v.copy()
+            for i in tree.order:
+                p = tree.parent[i]
+                if p >= 0:
+                    ref[i] = ref[p] + ref[i]
+            assert np.array_equal(tree.path_sum(v), ref)
+
+    def test_subtree_sum_matches_reversed_order_loop(self):
+        for tree, v in _traversal_cases():
+            ref = v.copy()
+            for i in reversed(tree.order):
+                p = tree.parent[i]
+                if p >= 0:
+                    ref[p] += ref[i]
+            assert np.array_equal(tree.subtree_sum(v), ref)
+
+    def test_children_mean_matches_dot_product(self):
+        eps = np.finfo(float).eps
+        for tree, v in _traversal_cases():
+            got = tree.children_mean(v)
+            assert got.shape == v.shape
+            assert (got[tree.leaves] == 0.0).all()
+            for i in tree.internal:
+                kids = list(tree.children[i])
+                p = tree.cond_prob[kids]
+                ref = p @ v[kids]
+                bound = 4 * eps * (p @ np.abs(v[kids]))
+                assert (np.abs(got[i] - ref) <= bound).all()
+
+    def test_path_prob_matches_root_down_loop(self):
+        for tree, _ in _traversal_cases():
+            ref = np.empty(tree.node_count)
+            for i in tree.order:
+                p = tree.parent[i]
+                ref[i] = 1.0 if p < 0 else ref[p] * tree.cond_prob[i]
+            assert np.array_equal(tree.path_prob, ref)
 
 
 class TestAntichain:

@@ -84,6 +84,37 @@ class TestHoldings:
         for n in range(b1.node_count):
             assert path.phi1[n] - y0 == path.up1[n] - path.down1[n]
 
+    def test_matches_node_loop(self):
+        # the per-node recursion that path_sum replaced; phi1 alone is summed
+        # in another order, bounded by one rounding per trade on the path
+        eps = np.finfo(float).eps
+        for seed in range(1, 31):
+            tree = generate_random_tree(seed, depth=1 + seed % 5, max_branching=2 + seed % 2)
+            base = random_strategy(tree, seed, liquidate_at_leaves=bool(seed % 2))
+            rng = np.random.default_rng(seed)
+            initial = (0.0, 0.0) if seed % 3 == 0 else tuple(rng.uniform(-50.0, 50.0, 2))
+            strat = Strategy(initial, base.buy, base.sell, base.consume)
+            lam = 0.1 * (seed % 4)
+            path = portfolio_path(tree, lam, strat)
+
+            n = tree.node_count
+            ref = {k: np.empty(n) for k in ("phi0", "phi1", "up0", "down0", "up1", "down1")}
+            x0, y0 = strat.initial
+            for i in tree.order:
+                p = tree.parent[i]
+                root = p < 0
+                d = path.delta0[i]
+                ref["phi1"][i] = (y0 if root else ref["phi1"][p]) + strat.buy[i] - strat.sell[i]
+                ref["phi0"][i] = (x0 if root else ref["phi0"][p]) + d
+                ref["up0"][i] = (0.0 if root else ref["up0"][p]) + max(d, 0.0)
+                ref["down0"][i] = (0.0 if root else ref["down0"][p]) + max(-d, 0.0)
+                ref["up1"][i] = (0.0 if root else ref["up1"][p]) + strat.buy[i]
+                ref["down1"][i] = (0.0 if root else ref["down1"][p]) + strat.sell[i]
+            for key in ("phi0", "up0", "down0", "up1", "down1"):
+                assert np.array_equal(getattr(path, key), ref[key]), (seed, key)
+            tol = (2 * tree.depth + 4) * eps * (abs(y0) + path.up1 + path.down1)
+            assert (np.abs(path.phi1 - ref["phi1"]) <= tol).all(), seed
+
     def test_json_round_trip(self, b1, c1_hedge):
         doc = c1_hedge.to_json()
         back = Strategy.from_json(b1, doc)
@@ -230,6 +261,16 @@ class TestLowerFrictionTransform:
         assert np.allclose(dst.phi0, src.phi0 + coeff * src.up0, atol=1e-9)
         assert np.allclose(dst.phi1, src.phi1)
         assert is_self_financing(tree, lam_p, out)
+
+
+class TestRandomStrategy:
+    def test_liquidates_every_leaf_of_a_deep_tree(self):
+        tree = generate_random_tree(5, depth=13, max_branching=2)
+        assert tree.node_count == 16383
+        strat = random_strategy(tree, 5, liquidate_at_leaves=True)
+        assert is_self_financing(tree, 0.1, strat)
+        path = portfolio_path(tree, 0.1, strat)
+        assert np.abs(path.phi1[tree.leaves]).max() <= 1e-9
 
 
 class TestTotalVariation:

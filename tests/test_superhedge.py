@@ -23,7 +23,6 @@ from spreadhedge import (
     price_curve,
     random_cps,
     solve,
-    strict_feasible_cps,
     superhedge_price,
     variation_bound_check,
     verify_cps,
@@ -66,6 +65,77 @@ class TestBuildPrimal:
         assert abs(rep.primal_value - 7.0) < 1e-9
         assert np.abs(rep.strategy.buy).max() < 1e-9
         assert np.abs(rep.strategy.sell).max() < 1e-9
+
+
+    def test_matches_leaf_ancestry_assembly_byte_for_byte(self):
+        caps = [
+            UNBOUNDED,
+            AdmissibilityCap.numeraire_based(100.0),
+            AdmissibilityCap.numeraire_free(1.0),
+            AdmissibilityCap.numeraire_based(0.0),
+        ]
+        for seed in range(1, 41):
+            tree, claim, lam = suite_instance(seed)
+            for cap in caps:
+                lp, _ = build_primal(tree, lam, claim, cap)
+                ref = _ancestry_primal_arrays(tree, lam, claim, cap)
+                got = (lp.A_eq, lp.b_eq, lp.A_ub, lp.b_ub)
+                for name, a, b in zip(("A_eq", "b_eq", "A_ub", "b_ub"), got, ref):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (seed, cap, name)
+
+
+def _ancestry_primal_arrays(tree, lam, claim, cap):
+    """The hedging LP's constraint arrays assembled node by node from each
+    row's root path, as build_primal did before the tree walked its paths."""
+    x = claim.payoff_vector(tree)
+    n = tree.node_count
+    n_leaves = tree.leaves.size
+    buy, sell, consume = 1 + np.arange(n), 1 + n + np.arange(n), 1 + 2 * n + np.arange(n)
+    n_vars = 1 + 3 * n + (2 * n if cap.is_bounded else 0)
+    long_part, short_part = 1 + 3 * n + np.arange(n), 1 + 4 * n + np.arange(n)
+    paths = []
+    for leaf in tree.leaves:
+        path = [int(leaf)] + tree.ancestors(int(leaf))
+        path.reverse()
+        paths.append(path)
+    m = n_leaves + (n if cap.is_bounded else 0)
+    A_eq, b_eq = np.zeros((m, n_vars)), np.zeros(m)
+    A_ub, b_ub = np.zeros((m, n_vars)), np.zeros(m)
+    S = tree.price
+    for r, path in enumerate(paths):
+        for a in path:
+            A_eq[r, buy[a]] = 1.0
+            A_eq[r, sell[a]] = -1.0
+        A_ub[r, 0] = -1.0
+        for a in path:
+            A_ub[r, buy[a]] = S[a]
+            A_ub[r, sell[a]] = -(1.0 - lam) * S[a]
+            A_ub[r, consume[a]] = 1.0
+        b_ub[r] = -x[r]
+    if cap.is_bounded:
+        ancestry = [[] for _ in range(n)]
+        for i in tree.order:
+            p = tree.parent[i]
+            ancestry[i] = ([] if p < 0 else ancestry[p]) + [int(i)]
+        for i in range(n):
+            r = n_leaves + i
+            A_eq[r, long_part[i]] = 1.0
+            A_eq[r, short_part[i]] = -1.0
+            for a in ancestry[i]:
+                A_eq[r, buy[a]] = -1.0
+                A_eq[r, sell[a]] = 1.0
+            A_ub[r, 0] = -1.0
+            for a in ancestry[i]:
+                A_ub[r, buy[a]] = S[a]
+                A_ub[r, sell[a]] = -(1.0 - lam) * S[a]
+                A_ub[r, consume[a]] = 1.0
+            A_ub[r, long_part[i]] = -(1.0 - lam) * S[i]
+            A_ub[r, short_part[i]] = S[i]
+            if cap.kind == "numeraire_based":
+                b_ub[r] = cap.bound
+            else:
+                b_ub[r] = cap.bound * (1.0 + S[i])
+    return A_eq, b_eq, A_ub, b_ub
 
 
 class TestBuildDual:
@@ -200,26 +270,6 @@ class TestDualOfPrimal:
         assert abs(expected_claim(tree, cps, claim) - sol.objective) < 1e-7 * (
             1 + abs(sol.objective)
         )
-
-
-class TestStrictFeasible:
-    def test_binomial_interior_exists(self, b1):
-        cps = strict_feasible_cps(b1, 0.1)
-        assert cps is not None
-        assert cps.strict
-        assert verify_cps(b1, 0.1, cps)
-
-    def test_arbitrage_raises(self):
-        doc = {
-            "depth": 1,
-            "nodes": [
-                {"id": 0, "parent": None, "time": 0, "prob": 1.0, "price": 100.0},
-                {"id": 1, "parent": 0, "time": 1, "prob": 1.0, "price": 120.0},
-            ],
-        }
-        tree = load_tree(json.dumps(doc))
-        with pytest.raises(DualInfeasible):
-            strict_feasible_cps(tree, 0.1)
 
 
 class TestVariationBound:
