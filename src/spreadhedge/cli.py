@@ -346,14 +346,7 @@ def _cmd_price(cfg: RunConfig) -> int:
     tree = _load_tree(cfg.tree_path)
     claim = _load_claim(cfg, tree)
     cap = _cap(cfg)
-    reports = []
-    try:
-        for lam in cfg.lambdas:
-            reports.append(superhedge_price(tree, lam, claim, cap))
-    except DualInfeasible as exc:
-        return _finding(cfg, "dual_infeasible", str(exc))
-    except CertificateFailure as exc:
-        return _finding(cfg, "certificate_failure", str(exc))
+    reports = [superhedge_price(tree, lam, claim, cap) for lam in cfg.lambdas]
     grid = {}
     for lam_check in cfg.check_lambdas:
         grid[repr(float(lam_check))] = has_cps(tree, lam_check)
@@ -380,12 +373,7 @@ def _cmd_dual(cfg: RunConfig) -> int:
     tree = _load_tree(cfg.tree_path)
     claim = _load_claim(cfg, tree)
     lam = cfg.lambdas[0]
-    try:
-        report = superhedge_price(tree, lam, claim)
-    except DualInfeasible as exc:
-        return _finding(cfg, "dual_infeasible", str(exc))
-    except CertificateFailure as exc:
-        return _finding(cfg, "certificate_failure", str(exc))
+    report = superhedge_price(tree, lam, claim)
     if not report.certificates["cps"]:
         return _finding(cfg, "certificate_failure", "optimal price system fails verification")
     cps = report.cps
@@ -657,16 +645,15 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _config_from_args(args)
-        return run(cfg)
+        try:
+            return run(cfg)
+        except DualInfeasible as exc:
+            return _finding(cfg, "dual_infeasible", str(exc))
+        except (CertificateFailure, UnverifiedInput, PreconditionViolated) as exc:
+            return _finding(cfg, "certificate_failure", str(exc))
     except (ParseError, ValidationError, ShapeMismatch, BadFriction, BadFrictionGap) as exc:
         sys.stderr.write(f"spreadhedge: {exc}\n")
         return 1
-    except (DualInfeasible,) as exc:
-        sys.stdout.write(json.dumps({"reason": "dual_infeasible", "detail": str(exc)}) + "\n")
-        return 2
-    except (CertificateFailure, UnverifiedInput, PreconditionViolated) as exc:
-        sys.stdout.write(json.dumps({"reason": "certificate_failure", "detail": str(exc)}) + "\n")
-        return 2
     except OSError as exc:
         sys.stderr.write(f"spreadhedge: io error: {exc}\n")
         return 1

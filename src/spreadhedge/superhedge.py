@@ -65,15 +65,14 @@ GAP_TOL = 1e-7
 @dataclass(frozen=True)
 class PrimalVariableMap:
     """Column layout of the hedging LP: the initial endowment plus per-node
-    trades; rows come in leaf order (flat-stock equalities, then budget
-    inequalities), then the optional per-node floor blocks."""
+    trades.  Rows: leaf flat-stock equalities; then leaf budget inequalities,
+    and with a bounded cap the bid-marked and the ask-marked floor rows of
+    every node, all in node order."""
 
     x0: int
     buy: np.ndarray
     sell: np.ndarray
     consume: np.ndarray
-    long_part: np.ndarray | None = None
-    short_part: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -90,68 +89,53 @@ def build_primal(
     Variables: the free initial bond endowment, then nonnegative buy/sell
     share counts and bond consumption per node.  Holdings are implied by the
     financing recursion started from (endowment, 0).  Each leaf contributes a
-    flat-stock equality and a budget inequality (terminal bonds cover the
-    payoff, consumption absorbs any overshoot).  A bounded cap adds, per
-    node, a long/short split of the stock position and a liquidation-floor
-    inequality.  Objective: minimize the endowment.
+    flat-stock equality.  Every inequality reads ``-phi0 - mark * phi1 <=
+    -rhs`` at its node: the leaf budgets use mark 0 and rhs X (terminal bonds
+    cover the payoff, consumption absorbs any overshoot).  The liquidation
+    value is the smaller of the bid mark ``phi0 + (1-lam) S phi1`` and the ask
+    mark ``phi0 + S phi1``, so a bounded cap adds a bid-marked row for every
+    node and then an ask-marked one, both with the cap's floor as rhs.
+    Objective: minimize the endowment.
     """
     lam = _rate(lam)
     x = claim.payoff_vector(tree)
     n = tree.node_count
     leaves = tree.leaves
-    n_leaves = leaves.size
 
     x0 = 0
     buy = np.arange(1, 1 + n)
     sell = np.arange(1 + n, 1 + 2 * n)
     consume = np.arange(1 + 2 * n, 1 + 3 * n)
     n_vars = 1 + 3 * n
-    long_part = short_part = None
-    if cap.is_bounded:
-        long_part = np.arange(n_vars, n_vars + n)
-        short_part = np.arange(n_vars + n, n_vars + 2 * n)
-        n_vars += 2 * n
-
     names = ["x0"]
     names += [f"buy[{i}]" for i in range(n)]
     names += [f"sell[{i}]" for i in range(n)]
     names += [f"consume[{i}]" for i in range(n)]
-    if cap.is_bounded:
-        names += [f"long[{i}]" for i in range(n)]
-        names += [f"short[{i}]" for i in range(n)]
 
     S = tree.price
-    # row r covers the trades at the nodes on its root path: leaf rows, then
-    # with a bounded cap one row per node
+    bid = (1.0 - lam) * S
+    # row r covers the trades at the nodes on the root path of nodes[r]
     on_path = tree.path_sum(np.eye(n)) > 0
-    rows = on_path[leaves]
-    b_ub = -x
+    nodes, mark, rhs = leaves, np.zeros(leaves.size), x
     if cap.is_bounded:
-        rows = np.vstack([rows, on_path])
-        b_ub = np.concatenate([b_ub, -cap.floor(S)])
-    m = rows.shape[0]
+        floor = cap.floor(S)
+        every = np.arange(n)
+        nodes = np.concatenate([nodes, every, every])
+        mark = np.concatenate([mark, bid, S])
+        rhs = np.concatenate([rhs, floor, floor])
+    rows = on_path[nodes]
+    mark = mark[:, None]
     # np.where keeps every structural zero +0.0
-    net = np.ones((m, 1))
-    net[n_leaves:] = -1.0
-    A_eq = np.zeros((m, n_vars))
-    b_eq = np.zeros(m)
-    # leaf rows: the terminal stock position is flat
-    # node rows: long - short = cumulated net stock position
-    A_eq[:, buy] = np.where(rows, net, 0.0)
-    A_eq[:, sell] = np.where(rows, -net, 0.0)
-    # leaf rows: terminal bonds dominate the payoff, -phi0(leaf) <= -X(leaf)
-    # node rows: liquidation floor, -phi0(i) - (1-lam) S long + S short <= -floor
-    A_ub = np.zeros((m, n_vars))
+    # leaf equalities: the terminal stock position is flat
+    A_eq = np.zeros((leaves.size, n_vars))
+    A_eq[:, buy] = np.where(on_path[leaves], 1.0, 0.0)
+    A_eq[:, sell] = np.where(on_path[leaves], -1.0, 0.0)
+    # -phi0 - mark * phi1 <= -rhs in trade variables
+    A_ub = np.zeros((nodes.size, n_vars))
     A_ub[:, x0] = -1.0
-    A_ub[:, buy] = np.where(rows, S, 0.0)
-    A_ub[:, sell] = np.where(rows, -(1.0 - lam) * S, 0.0)
+    A_ub[:, buy] = np.where(rows, S - mark, 0.0)
+    A_ub[:, sell] = np.where(rows, mark - bid, 0.0)
     A_ub[:, consume] = np.where(rows, 1.0, 0.0)
-    if cap.is_bounded:
-        node_rows = np.arange(n_leaves, m)
-        A_eq[node_rows, long_part] = 1.0
-        A_eq[node_rows, short_part] = -1.0
-        A_ub[node_rows, long_part] = -(1.0 - lam) * S
-        A_ub[node_rows, short_part] = S
 
     c = np.zeros(n_vars)
     c[x0] = 1.0
@@ -161,14 +145,14 @@ def build_primal(
         c=c,
         objective_sense="minimize",
         A_eq=A_eq,
-        b_eq=b_eq,
+        b_eq=np.zeros(leaves.size),
         A_ub=A_ub,
-        b_ub=b_ub,
+        b_ub=-rhs,
         lower=lower,
         upper=np.full(n_vars, np.inf),
         names=tuple(names),
     )
-    return lp, PrimalVariableMap(x0, buy, sell, consume, long_part, short_part)
+    return lp, PrimalVariableMap(x0, buy, sell, consume)
 
 
 def build_dual(
@@ -272,9 +256,9 @@ def dual_cps_from_primal(
     """
     if solution.status != "optimal":
         raise CertificateFailure(f"primal solution status is {solution.status}")
-    if vmap.long_part is not None:
-        raise ValidationError("multiplier mapping applies to the unbounded-cap program")
     leaves = tree.leaves
+    if solution.y_ub.size > leaves.size:
+        raise ValidationError("multiplier mapping applies to the unbounded-cap program")
     weights = np.zeros((tree.node_count, 2))
     weights[leaves, 0] = -solution.y_ub[: leaves.size]
     weights[leaves, 1] = solution.y_eq[: leaves.size]

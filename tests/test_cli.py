@@ -331,6 +331,29 @@ class TestVerifyCommands:
         doc = json.loads(capsys.readouterr().out)
         assert abs(doc["lhs"] - 190.0) < 1e-9
 
+    def test_precondition_finding_honours_format_and_output(self, files, tmp_path, capsys):
+        held = tmp_path / "held.json"
+        held.write_text(
+            json.dumps({"initial": [0.0, 0.0], "trades": {"0": {"buy": 1.0, "sell": 0.0, "consume": 0.0}}})
+        )
+        out = tmp_path / "f"
+        code = main(
+            [
+                "variation-bound",
+                "--tree", str(files / "b1.json"),
+                "--strategy", str(held),
+                "--cps", str(files / "z.json"),
+                "--lambda", "0.1",
+                "--lambda-prime", "0.05",
+                "--cap", "100",
+                "--format", "text",
+                "--output", str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        assert out.read_text().startswith("reason: certificate_failure\n")
+
 
 class TestGenerationAndReport:
     def test_gen_tree_valid(self, capsys):

@@ -138,6 +138,20 @@ class TestLiquidation:
         strat = Strategy.zero(b1, initial=(10.0, 2.0))
         assert liquidation_value(b1, 0.1, strat, 0) == liquidate(10.0, 2.0, 100.0, 0.1)
 
+    def test_is_the_smaller_of_bid_and_ask_marks(self):
+        # the hedging LP states the liquidation floor as one row per mark
+        rng = np.random.default_rng(7)
+        eps = np.finfo(float).eps
+        for lam in (0.0, 0.1, 0.6):
+            for _ in range(200):
+                phi0 = float(rng.uniform(-1e3, 1e3))
+                price = float(rng.uniform(0.5, 500.0))
+                size = float(rng.uniform(0.0, 20.0))
+                for phi1 in (-size, 0.0, size):
+                    marks = min(phi0 + (1.0 - lam) * price * phi1, phi0 + price * phi1)
+                    tol = 4 * eps * (abs(phi0) + price * abs(phi1))
+                    assert abs(liquidate(phi0, phi1, price, lam) - marks) <= tol
+
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
         phi0=st.floats(-50, 50), phi1=st.floats(-5, 5), k=st.floats(0.1, 10),

@@ -9,7 +9,9 @@ from spreadhedge import (
     AdmissibilityCap,
     ClaimSpec,
     DualInfeasible,
+    LinearProgram,
     PreconditionViolated,
+    ValidationError,
     brute_force_vertices,
     build_dual,
     build_primal,
@@ -68,25 +70,62 @@ class TestBuildPrimal:
 
 
     def test_matches_leaf_ancestry_assembly_byte_for_byte(self):
+        for seed in range(1, 41):
+            tree, claim, lam = suite_instance(seed)
+            lp, _ = build_primal(tree, lam, claim, UNBOUNDED)
+            ref = _ancestry_primal_arrays(tree, lam, claim, UNBOUNDED)
+            got = (lp.A_eq, lp.b_eq, lp.A_ub, lp.b_ub)
+            for name, a, b in zip(("A_eq", "b_eq", "A_ub", "b_ub"), got, ref):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (seed, name)
+
+    def test_marked_floor_rows_match_long_short_split(self):
+        # the floor as two marked rows per node prices like the long/short
+        # split of the stock position it replaces
         caps = [
-            UNBOUNDED,
             AdmissibilityCap.numeraire_based(100.0),
             AdmissibilityCap.numeraire_free(1.0),
             AdmissibilityCap.numeraire_based(0.0),
         ]
         for seed in range(1, 41):
             tree, claim, lam = suite_instance(seed)
+            n, n_leaves = tree.node_count, tree.leaves.size
             for cap in caps:
                 lp, _ = build_primal(tree, lam, claim, cap)
-                ref = _ancestry_primal_arrays(tree, lam, claim, cap)
-                got = (lp.A_eq, lp.b_eq, lp.A_ub, lp.b_ub)
-                for name, a, b in zip(("A_eq", "b_eq", "A_ub", "b_ub"), got, ref):
-                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (seed, cap, name)
+                assert lp.c.size == 3 * n + 1, (seed, cap)
+                assert lp.A_eq.shape == (n_leaves, 3 * n + 1), (seed, cap)
+                assert lp.A_ub.shape == (n_leaves + 2 * n, 3 * n + 1), (seed, cap)
+                got = solve(lp)
+                ref = solve(_split_primal_lp(tree, lam, claim, cap))
+                assert got.status == ref.status == "optimal", (seed, cap)
+                tol = 1e-9 * max(1.0, abs(ref.objective))
+                assert abs(got.objective - ref.objective) <= tol, (seed, cap)
+
+
+def _split_primal_lp(tree, lam, claim, cap):
+    """The capped hedging LP with the stock position split into long and
+    short parts, one equality row per node tying them to the position."""
+    A_eq, b_eq, A_ub, b_ub = _ancestry_primal_arrays(tree, lam, claim, cap)
+    n_vars = A_eq.shape[1]
+    c = np.zeros(n_vars)
+    c[0] = 1.0
+    lower = np.zeros(n_vars)
+    lower[0] = -np.inf
+    return LinearProgram(
+        c=c,
+        objective_sense="minimize",
+        A_eq=A_eq,
+        b_eq=b_eq,
+        A_ub=A_ub,
+        b_ub=b_ub,
+        lower=lower,
+        upper=np.full(n_vars, np.inf),
+    )
 
 
 def _ancestry_primal_arrays(tree, lam, claim, cap):
     """The hedging LP's constraint arrays assembled node by node from each
-    row's root path, as build_primal did before the tree walked its paths."""
+    row's root path, as build_primal did before the tree walked its paths;
+    a bounded cap splits the stock position into long and short parts."""
     x = claim.payoff_vector(tree)
     n = tree.node_count
     n_leaves = tree.leaves.size
@@ -256,6 +295,13 @@ class TestDualOfPrimal:
                 rep = superhedge_price(tree, lam, claim, cap)
                 assert abs(rep.dual_value - ref) <= 1e-9 * max(1.0, abs(ref)), (seed, cap)
                 assert verify_cps(tree, lam, rep.cps), (seed, cap)
+
+    def test_multiplier_mapping_rejects_capped_solve(self, b1, c1):
+        lp, vmap = build_primal(b1, 0.1, c1, AdmissibilityCap.numeraire_based(100.0))
+        sol = solve(lp)
+        assert sol.status == "optimal"
+        with pytest.raises(ValidationError):
+            dual_cps_from_primal(b1, 0.1, sol, vmap)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(seed=st.integers(1, 10_000))
