@@ -605,10 +605,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
+def _number(flag: str, text: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ParseError(f"{flag} expects a number, got {text!r}") from exc
+
+
+def _parse_float_list(flag: str, text: str) -> tuple[float, ...]:
     if not text:
         return ()
-    return tuple(float(v) for v in str(text).split(","))
+    return tuple(_number(flag, v) for v in str(text).split(","))
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -620,18 +627,18 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if hasattr(args, key):
             setattr(cfg, key, getattr(args, key))
     if hasattr(args, "lambdas"):
-        cfg.lambdas = _parse_float_list(args.lambdas)
+        cfg.lambdas = _parse_float_list("--lambda", args.lambdas)
         if not cfg.lambdas:
             raise ParseError("--lambda needs at least one value")
     if hasattr(args, "check_lambdas"):
-        cfg.check_lambdas = _parse_float_list(args.check_lambdas)
+        cfg.check_lambdas = _parse_float_list("--check-lambdas", args.check_lambdas)
     if hasattr(args, "cap"):
         raw = str(args.cap)
-        cfg.cap = math.inf if raw == "inf" else float(raw)
+        cfg.cap = math.inf if raw == "inf" else _number("--cap", raw)
         if cfg.cap < 0 or math.isnan(cfg.cap):
             raise ParseError(f"--cap must be a nonnegative number or 'inf', got {raw}")
     if hasattr(args, "stop"):
-        cfg.stop = tuple(int(v) for v in str(args.stop).split(",") if v != "")
+        cfg.stop = tuple(_number("--stop", v, int) for v in str(args.stop).split(",") if v != "")
     if hasattr(args, "allow_arbitrage"):
         cfg.straddle = not args.allow_arbitrage
     return cfg

@@ -164,7 +164,6 @@ def verify_cps(
     cps: ConsistentPriceSystem,
     *,
     stop=None,
-    tol: float = CPS_TOL,
 ) -> CpsCheck:
     """Check all defining constraints, reporting the worst residual per family.
 
@@ -218,7 +217,7 @@ def verify_cps(
         nodes,
     )
 
-    ok = all(v <= tol for v in worst.values())
+    ok = all(v <= CPS_TOL for v in worst.values())
     return CpsCheck(ok, worst, witness)
 
 
@@ -273,8 +272,6 @@ def supermartingale_check(
     lam,
     cps: ConsistentPriceSystem,
     strategy: Strategy,
-    *,
-    tol: float = CPS_TOL,
 ) -> SupermartingaleCheck:
     """Check the paired value ``V = phi0 * z0 + phi1 * z1`` is a supermartingale.
 
@@ -289,7 +286,7 @@ def supermartingale_check(
     in ``(z0, z1)`` by ``1/z0``, failing true statements wherever the
     density is small.
 
-    A deficit fails when it exceeds ``tol * max(1, |V(node)|, S(node) * z0(node))``.
+    A deficit fails when it exceeds ``CPS_TOL * max(1, |V(node)|, S(node) * z0(node))``.
     The scale is in root units (``z0`` is 1 at the root), the units in which
     ``(z0, z1)`` and hence their roundoff are stated; ``S * z0`` bounds the
     stock leg's size at the node.  The ``witness`` reports ``(node, deficit)``
@@ -303,7 +300,7 @@ def supermartingale_check(
     expected = tree.children_mean(value)
     scale = np.maximum(np.maximum(1.0, np.abs(value)), tree.price * cps.z0)
     internal = tree.internal
-    bad = internal[value[internal] < expected[internal] - tol * scale[internal]]
+    bad = internal[value[internal] < expected[internal] - CPS_TOL * scale[internal]]
     if bad.size:
         i = int(bad[0])
         return SupermartingaleCheck(False, (i, float(expected[i] - value[i])))
@@ -363,8 +360,6 @@ def stopped_martingale_check(
     x,
     stop,
     bound: float,
-    *,
-    tol: float = 1e-10,
 ) -> bool:
     """Verify the process frozen at the stopping time is a martingale.
 
@@ -373,6 +368,7 @@ def stopped_martingale_check(
     content of the local-to-true martingale upgrade: boundedness before the
     stop leaves nothing for the stopped process to lose.
     """
+    tol = 1e-10
     if isinstance(x, Mapping):
         arr = np.zeros(tree.node_count)
         for k, v in x.items():

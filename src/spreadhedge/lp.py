@@ -1,11 +1,16 @@
 """Self-contained dense linear-programming kernel with duality certificates.
 
 The solver is a two-phase revised simplex on the standard-form problem
-``min c'x  s.t.  Ax = b, x >= 0`` derived from the general-form input.  The
-entering variable is the one with the largest reduced-cost violation (ties
-broken by lowest index); whenever the objective stalls the rule switches to
-Bland's anti-cycling rule, which guarantees finite termination.  Everything
-is deterministic for a fixed input.
+``min c't  s.t.  At = b, t >= 0`` derived from the general-form input.  Each
+variable has one of four bound kinds: fixed (no column), shift (by its lower
+bound), mirror (at its upper bound) or split (free, two columns).  Three
+arrays carry the whole transformation -- ``source`` (the variable behind each
+column), ``flip`` (the column's sign) and ``offset`` (the shift) -- so both
+directions are array operations.  The entering variable is the one with the
+largest reduced-cost violation (ties broken by lowest index); whenever the
+objective stalls the rule switches to Bland's anti-cycling rule, which
+guarantees finite termination.  Everything is deterministic for a fixed
+input.
 
 Every optimal solution carries dual multipliers and reduced costs.  The
 ``verify_certificate`` routine recomputes all four certificate residuals --
@@ -57,7 +62,7 @@ def _as_matrix(a, ncols: int, name: str) -> np.ndarray:
         a = a.reshape(1, -1) if a.size else a.reshape(0, ncols)
     if a.ndim != 2 or (a.shape[0] and a.shape[1] != ncols):
         raise ValidationError(f"{name} has shape {a.shape}, expected (*, {ncols})")
-    return a
+    return a if a.shape[0] else np.zeros((0, ncols))
 
 
 @dataclass(frozen=True)
@@ -168,93 +173,77 @@ class CertificateReport:
 
 
 @dataclass
-class _Column:
-    kind: str                 # "shift" | "mirror" | "split" | "fixed"
-    cols: tuple[int, ...] = ()
-    offset: float = 0.0
-    value: float = 0.0        # for fixed variables
-
-
-@dataclass
 class _StandardForm:
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    cols: list
     n_eq: int
     n_ub: int                  # external ub rows precede internal bound rows
-    n_bound: int
     slack_of_row: np.ndarray   # column index of the slack for each ub/bound row, -1 for eq
+    source: np.ndarray         # original variable behind each structural column
+    flip: np.ndarray           # +1 or -1 per structural column
+    offset: np.ndarray         # per original variable, the value at t = 0
+
+    def recover(self, t: np.ndarray) -> np.ndarray:
+        """Map a standard-form point back to the original variables."""
+        x = self.offset.copy()
+        np.add.at(x, self.source, self.flip * t[: self.source.size])
+        return x
 
 
-def _standard_form(lp: LinearProgram, sign: float) -> tuple[_StandardForm, np.ndarray]:
-    """Rewrite as min (sign*c)'t, At = b, t >= 0.  Returns the form and the
-    fixed-variable mask."""
-    n = lp.n_vars
+def _standard_form(lp: LinearProgram, sign: float) -> _StandardForm:
+    """Rewrite as min (sign*c)'t, At = b, t >= 0.
+
+    Each variable is one of four bound kinds:
+
+    - ``fixed`` (lower == upper): no column; its value moves into ``b``;
+    - ``shift`` (finite lower): one column ``t = x - lower``, plus a bound row
+      ``t + s = upper - lower`` when the upper bound is finite too;
+    - ``mirror`` (upper bound only): one column ``t = upper - x``;
+    - ``split`` (free): two adjacent columns with ``x = t+ - t-``.
+
+    Three arrays record the transformation: ``source`` (the variable behind
+    each structural column, in variable order), ``flip`` (-1 for a mirrored
+    column and for a free variable's second column, else +1) and ``offset``
+    (the lower bound, the upper bound of a mirrored variable, 0 when free),
+    so that ``x = offset + sum over its columns of flip * t``.  Rows are the
+    equalities, the inequalities with one slack each, then the bound rows
+    with one slack each; the slacks follow the structural columns.
+    """
     lower, upper = lp.lower, lp.upper
-    fixed = np.isfinite(lower) & np.isfinite(upper) & (upper - lower <= 0.0)
+    has_lo, has_up = np.isfinite(lower), np.isfinite(upper)
+    fixed = has_lo & has_up & (upper - lower <= 0.0)
+    free = ~has_lo & ~has_up
+    width = np.where(fixed, 0, np.where(free, 2, 1))
+    first = np.cumsum(width) - width  # first structural column of each variable
+    source = np.repeat(np.arange(lp.n_vars), width)
+    flip = np.where(has_lo[source], 1.0, -1.0)
+    flip[first[free]] = 1.0
+    offset = np.where(has_lo, lower, np.where(has_up, upper, 0.0))
+    boxed = np.flatnonzero(has_lo & has_up & ~fixed)
 
-    cols: list[_Column] = [None] * n  # type: ignore[list-item]
-    col_data: list[np.ndarray] = []
-    col_cost: list[float] = []
-    A_full = np.vstack([lp.A_eq, lp.A_ub]) if (lp.A_eq.size or lp.A_ub.size) else np.zeros((0, n))
-    if A_full.size == 0:
-        A_full = np.zeros((lp.A_eq.shape[0] + lp.A_ub.shape[0], n))
-    b_eq = lp.b_eq.copy()
-    b_ub = lp.b_ub.copy()
-    c_int: list[float] = []
-    bound_rows: list[tuple[int, float]] = []  # (internal column, rhs) for two-sided vars
+    n_eq, n_ub, n_bound = lp.A_eq.shape[0], lp.A_ub.shape[0], boxed.size
+    n_rows, n_struct = n_eq + n_ub, source.size
+    m = n_rows + n_bound
+    # shift one variable at a time, left to right: a matmul sums in another
+    # order and would change the last bits of b
+    shifted = np.flatnonzero(offset)
+    shifts = np.vstack([lp.A_eq[:, shifted], lp.A_ub[:, shifted]]) * offset[shifted]
+    b_rows = np.subtract.reduce(
+        np.column_stack([np.concatenate([lp.b_eq, lp.b_ub]), shifts]), axis=1
+    )
+    b = np.concatenate([b_rows, upper[boxed] - lower[boxed]])
 
-    def push(col_vec: np.ndarray, cost: float) -> int:
-        col_data.append(col_vec)
-        c_int.append(cost)
-        return len(col_data) - 1
-
-    cobj = sign * lp.c
-    for j in range(n):
-        a_j = A_full[:, j]
-        if fixed[j]:
-            v = lower[j]
-            b_eq -= lp.A_eq[:, j] * v if lp.A_eq.size else 0.0
-            b_ub -= lp.A_ub[:, j] * v if lp.A_ub.size else 0.0
-            cols[j] = _Column("fixed", (), 0.0, v)
-            continue
-        lo, up = lower[j], upper[j]
-        if np.isfinite(lo):
-            k = push(a_j, cobj[j])
-            if lo != 0.0:
-                b_eq -= lp.A_eq[:, j] * lo if lp.A_eq.size else 0.0
-                b_ub -= lp.A_ub[:, j] * lo if lp.A_ub.size else 0.0
-            cols[j] = _Column("shift", (k,), lo)
-            if np.isfinite(up):
-                bound_rows.append((k, up - lo))
-        elif np.isfinite(up):
-            k = push(-a_j, -cobj[j])
-            b_eq -= lp.A_eq[:, j] * up if lp.A_eq.size else 0.0
-            b_ub -= lp.A_ub[:, j] * up if lp.A_ub.size else 0.0
-            cols[j] = _Column("mirror", (k,), up)
-        else:
-            kp = push(a_j, cobj[j])
-            km = push(-a_j, -cobj[j])
-            cols[j] = _Column("split", (kp, km))
-
-    n_eq, n_ub, n_bound = b_eq.size, b_ub.size, len(bound_rows)
-    m = n_eq + n_ub + n_bound
-    n_struct = len(col_data)
+    slack_of_row = np.concatenate([np.full(n_eq, -1), n_struct + np.arange(n_ub + n_bound)])
     A = np.zeros((m, n_struct + n_ub + n_bound))
-    for k, vec in enumerate(col_data):
-        A[: n_eq + n_ub, k] = vec if vec.size else 0.0
-    b = np.concatenate([b_eq, b_ub, np.array([r for _, r in bound_rows])])
-    slack_of_row = np.full(m, -1, dtype=np.int64)
-    for i in range(n_ub):
-        A[n_eq + i, n_struct + i] = 1.0
-        slack_of_row[n_eq + i] = n_struct + i
-    for i, (k, _) in enumerate(bound_rows):
-        A[n_eq + n_ub + i, k] = 1.0
-        A[n_eq + n_ub + i, n_struct + n_ub + i] = 1.0
-        slack_of_row[n_eq + n_ub + i] = n_struct + n_ub + i
-    c = np.concatenate([np.array(c_int), np.zeros(n_ub + n_bound)])
-    return _StandardForm(A, b, c, cols, n_eq, n_ub, n_bound, slack_of_row), fixed
+    # gather each block straight into A: no stacked copy of [A_eq; A_ub]
+    np.multiply(lp.A_eq[:, source], flip, out=A[:n_eq, :n_struct])
+    np.multiply(lp.A_ub[:, source], flip, out=A[n_eq:n_rows, :n_struct])
+    A[n_rows + np.arange(n_bound), first[boxed]] = 1.0
+    A[np.arange(n_eq, m), slack_of_row[n_eq:]] = 1.0
+    c = np.zeros(A.shape[1])
+    c[:n_struct] = (sign * lp.c)[source] * flip
+    return _StandardForm(A, b, c, n_eq, n_ub, slack_of_row, source, flip, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -389,24 +378,14 @@ def _solve_standard(
         return "optimal", x, np.zeros(0), kept_rows, iters
 
     # initial basis: slacks where feasible, artificials elsewhere
-    basis = np.full(m, -1, dtype=np.int64)
-    art_cols: list[np.ndarray] = []
-    art_index: list[int] = []
-    next_col = n
-    for i in range(m):
-        s = sf.slack_of_row[i]
-        if s >= 0 and b[i] >= 0.0:
-            basis[i] = s
-        else:
-            col = np.zeros(m)
-            col[i] = 1.0 if b[i] >= 0.0 else -1.0
-            art_cols.append(col)
-            art_index.append(i)
-            basis[i] = next_col
-            next_col += 1
-    n_art = len(art_cols)
+    art_rows = np.flatnonzero((sf.slack_of_row < 0) | (b < 0))
+    n_art = art_rows.size
+    basis = sf.slack_of_row.copy()
+    basis[art_rows] = n + np.arange(n_art)
     if n_art:
-        A1 = np.hstack([A, np.column_stack(art_cols)])
+        art = np.zeros((m, n_art))
+        art[art_rows, np.arange(n_art)] = np.where(b[art_rows] < 0, -1.0, 1.0)
+        A1 = np.hstack([A, art])
         c1 = np.concatenate([np.zeros(n), np.ones(n_art)])
         sx = _Simplex(A1, b)
         Binv = sx.refactorize(basis)
@@ -422,10 +401,9 @@ def _solve_standard(
         if phase1 > 1e-8 * max(1.0, np.abs(b).max()):
             return "infeasible", None, None, kept_rows, iters
         # drive remaining artificials out of the basis
-        art_in_basis = [p for p in range(m) if basis[p] >= n]
         drop_rows: list[int] = []
         basic_set = set(basis.tolist())
-        for p in art_in_basis:
+        for p in np.flatnonzero(basis >= n):
             row = Binv[p, :] @ A
             pivots = np.flatnonzero(np.abs(row) > 1e-7)
             entered = False
@@ -444,7 +422,7 @@ def _solve_standard(
             if not entered:
                 drop_rows.append(p)
         if drop_rows:
-            keep = np.array([i for i in range(m) if i not in drop_rows], dtype=np.int64)
+            keep = np.delete(np.arange(m), drop_rows)
             A = A[keep]
             b = b[keep]
             kept_rows = kept_rows[keep]
@@ -479,35 +457,19 @@ def solve(lp: LinearProgram) -> LpSolution:
     rather than returning a silently wrong answer.
     """
     sign = _SENSES[lp.objective_sense]
-    sf, _ = _standard_form(lp, sign)
+    sf = _standard_form(lp, sign)
     status, t, y_int, kept_rows, iters = _solve_standard(sf)
     if status != "optimal":
         return LpSolution(status=status, iterations=iters)
-
-    n = lp.n_vars
-    x = np.empty(n)
-    for j in range(n):
-        col = sf.cols[j]
-        if col.kind == "fixed":
-            x[j] = col.value
-        elif col.kind == "shift":
-            x[j] = col.offset + t[col.cols[0]]
-        elif col.kind == "mirror":
-            x[j] = col.offset - t[col.cols[0]]
-        else:
-            x[j] = t[col.cols[0]] - t[col.cols[1]]
+    x = sf.recover(t)
 
     # duals of the original rows; deleted redundant rows carry 0
-    m_int = sf.n_eq + sf.n_ub + sf.n_bound
-    y_full = np.zeros(m_int)
-    if y_int is not None and y_int.size:
-        y_full[kept_rows] = y_int
+    y_full = np.zeros(sf.A.shape[0])
+    y_full[kept_rows] = y_int
     y_eq = sign * y_full[: sf.n_eq]
     y_ub = sign * y_full[sf.n_eq : sf.n_eq + sf.n_ub]
 
-    reduced = lp.c - (lp.A_eq.T @ y_eq if lp.A_eq.size else 0.0) - (
-        lp.A_ub.T @ y_ub if lp.A_ub.size else 0.0
-    )
+    reduced = lp.c - lp.A_eq.T @ y_eq - lp.A_ub.T @ y_ub
     objective = float(lp.c @ x)
     sol = LpSolution(
         status="optimal",
@@ -515,7 +477,7 @@ def solve(lp: LinearProgram) -> LpSolution:
         objective=objective,
         y_eq=y_eq,
         y_ub=y_ub,
-        reduced_costs=np.asarray(reduced, dtype=float),
+        reduced_costs=reduced,
         iterations=iters,
     )
     report = verify_certificate(lp, sol)
@@ -526,15 +488,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     return sol
 
 
-def verify_certificate(
-    lp: LinearProgram,
-    sol: LpSolution,
-    *,
-    tol_feas: float = FEAS_TOL,
-    tol_dual: float = DUAL_TOL,
-    tol_cs: float = CS_TOL,
-    tol_gap: float = GAP_TOL,
-) -> CertificateReport:
+def verify_certificate(lp: LinearProgram, sol: LpSolution) -> CertificateReport:
     """Recompute the four optimality residuals from scratch.
 
     Residuals are scaled by ``max(1, |reference|)`` (right-hand side, cost,
@@ -610,17 +564,17 @@ def verify_certificate(
     failures = tuple(
         name
         for name, val, tol in (
-            ("primal_feasibility", primal, tol_feas),
-            ("dual_feasibility", dual, tol_dual),
-            ("complementary_slackness", cs, tol_cs),
-            ("objective_gap", gap, tol_gap),
+            ("primal_feasibility", primal, FEAS_TOL),
+            ("dual_feasibility", dual, DUAL_TOL),
+            ("complementary_slackness", cs, CS_TOL),
+            ("objective_gap", gap, GAP_TOL),
         )
         if not (val <= tol)
     )
     return CertificateReport(not failures, res, failures)
 
 
-def brute_force_vertices(lp: LinearProgram, *, tol: float = 1e-9) -> list[tuple[np.ndarray, float]]:
+def brute_force_vertices(lp: LinearProgram) -> list[tuple[np.ndarray, float]]:
     """Enumerate basic feasible points and return the optimizer set.
 
     Independent oracle for small instances: at most 8 variables, and the
@@ -633,6 +587,7 @@ def brute_force_vertices(lp: LinearProgram, *, tol: float = 1e-9) -> list[tuple[
     if n > 8:
         raise TooLarge(f"brute force accepts at most 8 variables, got {n}")
     sign = _SENSES[lp.objective_sense]
+    tol = 1e-9
 
     rows: list[tuple[np.ndarray, float]] = []
     forced = list(range(lp.A_eq.shape[0]))

@@ -202,7 +202,7 @@ class SelfFinancingCheck:
         return self.ok
 
 
-def is_self_financing(tree: ScenarioTree, lam, strategy: Strategy, *, tol: float = 1e-9) -> SelfFinancingCheck:
+def is_self_financing(tree: ScenarioTree, lam, strategy: Strategy) -> SelfFinancingCheck:
     """Check the financing identity holds with nonnegative slack at every node.
 
     Holdings are derived from the trades, so the bond-update identity holds by
@@ -215,7 +215,7 @@ def is_self_financing(tree: ScenarioTree, lam, strategy: Strategy, *, tol: float
     _check_shape(tree, strategy)
     violations = []
     for name, arr in (("buy", strategy.buy), ("sell", strategy.sell), ("consume", strategy.consume)):
-        bad = np.flatnonzero(arr < -tol)
+        bad = np.flatnonzero(arr < -1e-9)
         for i in bad:
             violations.append((int(i), name, float(arr[i])))
     violations.sort()
@@ -290,7 +290,7 @@ class AdmissibilityCheck:
 
 
 def check_admissibility(
-    tree: ScenarioTree, lam, strategy: Strategy, cap: AdmissibilityCap, *, tol: float = 1e-9
+    tree: ScenarioTree, lam, strategy: Strategy, cap: AdmissibilityCap
 ) -> AdmissibilityCheck:
     """Verify the liquidation floor at every node.
 
@@ -302,7 +302,7 @@ def check_admissibility(
         return AdmissibilityCheck(True, None)
     values = liquidation_values(tree, lam, strategy)
     floors = cap.floor(tree.price)
-    bad = np.flatnonzero(values < floors - tol)
+    bad = np.flatnonzero(values < floors - 1e-9)
     if bad.size:
         i = int(bad[0])
         return AdmissibilityCheck(False, (i, float(values[i]), float(floors[i])))

@@ -241,12 +241,7 @@ def extract_strategy(
     return strat
 
 
-def dual_cps_from_primal(
-    tree: ScenarioTree,
-    lam,
-    solution: LpSolution,
-    vmap: PrimalVariableMap,
-) -> ConsistentPriceSystem:
+def dual_cps_from_primal(tree: ScenarioTree, solution: LpSolution) -> ConsistentPriceSystem:
     """Map the hedging LP's own multipliers to a price system.
 
     The budget multiplier of each leaf is the pricing-measure weight, the
@@ -368,7 +363,7 @@ def superhedge_price(
         )
     if pricing_sol.status != "optimal":
         raise CertificateFailure(f"hedging program ended with status {pricing_sol.status}")
-    cps = dual_cps_from_primal(tree, lam, pricing_sol, pricing_map)
+    cps = dual_cps_from_primal(tree, pricing_sol)
     dual_value = expected_claim(tree, cps, claim)
     complementary_slackness = verify_certificate(pricing_lp, pricing_sol).ok
 

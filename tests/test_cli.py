@@ -462,6 +462,24 @@ class TestGenerationAndReport:
     def test_unknown_flag_is_input_error(self):
         assert main(["price", "--bogus"]) == 1
 
+    def test_non_numeric_flag_is_input_error(self, files, capsys):
+        price = ["price", "--tree", str(files / "b1.json"), "--claim-expr", "0"]
+        concat = [
+            "concat-cps", "--tree", str(files / "b1.json"), "--lambda", "0.2",
+            "--cps", str(files / "z.json"), "--cps-global", str(files / "z.json"),
+            "--lambda-n", "0.05", "--lambda-prime", "0.05",
+        ]
+        for flag, argv in (
+            ("--lambda", price + ["--lambda", "abc"]),
+            ("--check-lambdas", price + ["--lambda", "0.1", "--check-lambdas", "0.1,abc"]),
+            ("--cap", price + ["--lambda", "0.1", "--cap", "abc"]),
+            ("--stop", concat + ["--stop", "0,abc"]),
+        ):
+            assert main(argv) == 1, flag
+            err = capsys.readouterr().err
+            assert err.startswith("spreadhedge:"), (flag, err)
+            assert flag in err and "'abc'" in err, (flag, err)
+
     def test_report_without_certificates_rejected(self, tmp_path):
         from spreadhedge import ValidationError
         from spreadhedge.cli import emit_report

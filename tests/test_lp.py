@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spreadhedge import (
+    AdmissibilityCap,
     LinearProgram,
     TooLarge,
     ValidationError,
@@ -11,6 +12,8 @@ from spreadhedge import (
     solve,
     verify_certificate,
 )
+from spreadhedge.lp import _SENSES, _standard_form
+from spreadhedge.superhedge import build_dual, build_primal
 
 INF = float("inf")
 
@@ -46,6 +49,45 @@ def random_box_lp(seed: int) -> LinearProgram:
     return LinearProgram(
         c=c, objective_sense=sense, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub,
         lower=lower, upper=upper,
+    )
+
+
+BOUND_KINDS = ("boxed", "lower", "upper", "free", "fixed")
+
+
+def mixed_bound_lp(seed: int) -> LinearProgram:
+    """Bounded-feasible random LP holding every bound kind at once: boxed,
+    lower-only, upper-only (mirrored), free and fixed variables, with shifted
+    and negative bounds.  Two kinds of inequality row through a random point
+    close the open sides: ``-x_j <= .`` bounds each free variable below, so
+    that every term of ``sum(lower-only, free) - sum(upper-only) <= .`` is
+    bounded below and hence above, and an optimal vertex exists."""
+    rng = np.random.default_rng(seed)
+    kinds = rng.permutation(BOUND_KINDS + tuple(rng.choice(BOUND_KINDS, int(rng.integers(0, 2)))))
+    n = kinds.size
+    lower = np.full(n, -INF)
+    upper = np.full(n, INF)
+    x_hat = rng.uniform(-5.0, 5.0, n)
+    width = rng.uniform(1.0, 6.0, n)
+    for j, kind in enumerate(kinds):
+        if kind in ("boxed", "lower"):
+            lower[j] = x_hat[j] - rng.uniform(0.2, 0.8) * width[j]
+        if kind in ("boxed", "upper"):
+            upper[j] = x_hat[j] + rng.uniform(0.2, 0.8) * width[j]
+        if kind == "fixed":
+            lower[j] = upper[j] = x_hat[j]
+    opening = np.select([np.isin(kinds, ("lower", "free")), kinds == "upper"], [1.0, -1.0], 0.0)
+    m = int(rng.integers(1, 3))
+    A_ub = np.vstack([rng.normal(size=(m, n)), opening, -np.eye(n)[kinds == "free"]])
+    b_ub = A_ub @ x_hat + rng.uniform(0.1, 3.0, A_ub.shape[0])
+    A_eq = b_eq = None
+    if rng.random() < 0.4:
+        A_eq = rng.normal(size=(1, n))
+        b_eq = A_eq @ x_hat
+    sense = "minimize" if rng.random() < 0.5 else "maximize"
+    return LinearProgram(
+        c=rng.normal(size=n), objective_sense=sense, A_eq=A_eq, b_eq=b_eq,
+        A_ub=A_ub, b_ub=b_ub, lower=lower, upper=upper,
     )
 
 
@@ -187,10 +229,107 @@ class TestOracleAgreement:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(1, 100_000))
     def test_solve_matches_vertex_enumeration(self, seed):
-        lp = random_box_lp(seed)
-        sol = solve(lp)
-        assert sol.status == "optimal"
-        vertices = brute_force_vertices(lp)
-        assert vertices, "bounded LP must have an optimal vertex"
-        assert abs(sol.objective - vertices[0][1]) < 1e-9 * (1 + abs(sol.objective))
-        assert verify_certificate(lp, sol).ok
+        for lp in (random_box_lp(seed), mixed_bound_lp(seed)):
+            sol = solve(lp)
+            assert sol.status == "optimal"
+            vertices = brute_force_vertices(lp)
+            assert vertices, "bounded LP must have an optimal vertex"
+            assert abs(sol.objective - vertices[0][1]) < 1e-9 * (1 + abs(sol.objective))
+            assert verify_certificate(lp, sol).ok
+
+
+def per_column_standard_form(lp: LinearProgram, sign: float):
+    """The standard form built one variable at a time, each variable kept as
+    a ``(kind, columns, offset)`` record: the reference for the array build.
+    Returns ``(A, b, c, slack_of_row, records)``."""
+    rows = np.vstack([lp.A_eq, lp.A_ub])
+    b = np.concatenate([lp.b_eq, lp.b_ub])
+    cobj = sign * lp.c
+    col_data, cost, records, bound_rows = [], [], [], []
+    for j in range(lp.n_vars):
+        lo, up = lp.lower[j], lp.upper[j]
+        k = len(col_data)
+        if np.isfinite(lo) and np.isfinite(up) and up - lo <= 0.0:
+            b -= rows[:, j] * lo
+            records.append(("fixed", (), lo))
+        elif np.isfinite(lo):
+            if lo != 0.0:
+                b -= rows[:, j] * lo
+            records.append(("shift", (k,), lo))
+            if np.isfinite(up):
+                bound_rows.append((k, up - lo))
+            col_data.append(rows[:, j])
+            cost.append(cobj[j])
+        elif np.isfinite(up):
+            b -= rows[:, j] * up
+            records.append(("mirror", (k,), up))
+            col_data.append(-rows[:, j])
+            cost.append(-cobj[j])
+        else:
+            records.append(("split", (k, k + 1), 0.0))
+            col_data += [rows[:, j], -rows[:, j]]
+            cost += [cobj[j], -cobj[j]]
+    n_eq, n_ub, n_bound, n_struct = lp.A_eq.shape[0], lp.A_ub.shape[0], len(bound_rows), len(col_data)
+    m = n_eq + n_ub + n_bound
+    A = np.zeros((m, n_struct + n_ub + n_bound))
+    for k, vec in enumerate(col_data):
+        A[: n_eq + n_ub, k] = vec
+    slack_of_row = np.full(m, -1, dtype=np.int64)
+    for i in range(n_ub + n_bound):
+        A[n_eq + i, n_struct + i] = 1.0
+        slack_of_row[n_eq + i] = n_struct + i
+    for i, (k, _) in enumerate(bound_rows):
+        A[n_eq + n_ub + i, k] = 1.0
+    b = np.concatenate([b, np.array([r for _, r in bound_rows])])
+    c = np.concatenate([np.array(cost), np.zeros(n_ub + n_bound)])
+    return A, b, c, slack_of_row, records
+
+
+def per_kind_recover(records, t: np.ndarray) -> np.ndarray:
+    out = []
+    for kind, cols, offset in records:
+        if kind == "fixed":
+            out.append(offset)
+        elif kind == "shift":
+            out.append(offset + t[cols[0]])
+        elif kind == "mirror":
+            out.append(offset - t[cols[0]])
+        else:
+            out.append(t[cols[0]] - t[cols[1]])
+    return np.array(out)
+
+
+def standard_form_corpus():
+    from tests.test_acceptance import suite_instance  # that module imports this one
+
+    for seed in range(100):
+        yield f"box {seed}", random_box_lp(seed)
+        yield f"mixed {seed}", mixed_bound_lp(seed)
+    for seed in range(1, 11):
+        tree, claim, lam = suite_instance(seed)
+        for cap in (AdmissibilityCap.unbounded(), AdmissibilityCap.numeraire_based(100.0)):
+            yield f"primal {seed} {cap.kind} {cap.bound}", build_primal(tree, lam, claim, cap)[0]
+        yield f"dual {seed}", build_dual(tree, lam, claim)[0]
+
+
+class TestStandardForm:
+    def test_matches_per_column_construction_byte_for_byte(self):
+        for name, lp in standard_form_corpus():
+            sign = _SENSES[lp.objective_sense]
+            sf = _standard_form(lp, sign)
+            A, b, c, slack_of_row, _ = per_column_standard_form(lp, sign)
+            for field, ref in (("A", A), ("b", b), ("c", c), ("slack_of_row", slack_of_row)):
+                got = getattr(sf, field)
+                assert got.shape == ref.shape and got.dtype == ref.dtype, (name, field)
+                assert got.tobytes() == ref.tobytes(), (name, field)
+
+    def test_recover_matches_per_kind_rules(self):
+        rng = np.random.default_rng(0)
+        kinds = set()
+        for name, lp in standard_form_corpus():
+            sf = _standard_form(lp, _SENSES[lp.objective_sense])
+            records = per_column_standard_form(lp, 1.0)[4]
+            kinds |= {kind for kind, _, _ in records}
+            t = rng.uniform(0.0, 10.0, sf.A.shape[1])
+            assert np.array_equal(sf.recover(t), per_kind_recover(records, t)), name
+        assert kinds == {"fixed", "shift", "mirror", "split"}

@@ -297,11 +297,11 @@ class TestDualOfPrimal:
                 assert verify_cps(tree, lam, rep.cps), (seed, cap)
 
     def test_multiplier_mapping_rejects_capped_solve(self, b1, c1):
-        lp, vmap = build_primal(b1, 0.1, c1, AdmissibilityCap.numeraire_based(100.0))
+        lp, _ = build_primal(b1, 0.1, c1, AdmissibilityCap.numeraire_based(100.0))
         sol = solve(lp)
         assert sol.status == "optimal"
         with pytest.raises(ValidationError):
-            dual_cps_from_primal(b1, 0.1, sol, vmap)
+            dual_cps_from_primal(b1, sol)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(seed=st.integers(1, 10_000))
@@ -309,9 +309,9 @@ class TestDualOfPrimal:
         tree = generate_random_tree(seed % 60 + 1, depth=1 + seed % 4, max_branching=2 + seed % 2)
         claim = random_claim(tree, seed)
         lam = 0.05 + (seed % 6) * 0.06
-        lp, vmap = build_primal(tree, lam, claim, UNBOUNDED)
+        lp, _ = build_primal(tree, lam, claim, UNBOUNDED)
         sol = solve(lp)
-        cps = dual_cps_from_primal(tree, lam, sol, vmap)
+        cps = dual_cps_from_primal(tree, sol)
         assert verify_cps(tree, lam, cps)
         assert abs(expected_claim(tree, cps, claim) - sol.objective) < 1e-7 * (
             1 + abs(sol.objective)
