@@ -28,7 +28,6 @@ from .errors import (
 from .scenario_tree import (
     Antichain,
     ClaimSpec,
-    Node,
     PriceModel,
     ScenarioTree,
     dumps_tree,

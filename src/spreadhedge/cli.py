@@ -214,7 +214,7 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -338,6 +338,20 @@ def _finding(cfg: RunConfig, reason: str, detail: str, extra: dict | None = None
     return 2
 
 
+def _verdict(cfg: RunConfig, payload: dict, body: str, reason: str | None) -> int:
+    """Emit a check's outcome: JSON gets ``payload`` (plus ``reason`` when it
+    failed), the other formats ``body``, or a finding carrying it."""
+    if cfg.fmt == "json":
+        if reason is not None:
+            payload = {**payload, "reason": reason}
+        _write_output(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    elif reason is not None:
+        return _finding(cfg, reason, body)
+    else:
+        _write_output(cfg, body)
+    return 0 if reason is None else 2
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -383,14 +397,8 @@ def _cmd_dual(cfg: RunConfig) -> int:
         "cps": cps.to_json(),
         "strict": cps.strict,
     }
-    if cfg.fmt == "json":
-        _write_output(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        _write_output(
-            cfg,
-            f"lambda {lam!r}\ndual   {report.dual_value!r}\nstrict {str(cps.strict).lower()}\n",
-        )
-    return 0
+    body = f"lambda {lam!r}\ndual   {report.dual_value!r}\nstrict {str(cps.strict).lower()}\n"
+    return _verdict(cfg, payload, body, None)
 
 
 def _cmd_verify_cps(cfg: RunConfig) -> int:
@@ -401,21 +409,9 @@ def _cmd_verify_cps(cfg: RunConfig) -> int:
     lines = ["family            worst-residual  witness-node"]
     for fam in sorted(check.worst):
         lines.append(f"{fam:18s}{check.worst[fam]:.3e}       {check.witness[fam]}")
+    payload = {"ok": check.ok, "worst": check.worst, "witness": check.witness}
     body = "\n".join(lines) + "\n"
-    if cfg.fmt == "json":
-        payload = {
-            "ok": check.ok,
-            "worst": {k: check.worst[k] for k in sorted(check.worst)},
-            "witness": {k: check.witness[k] for k in sorted(check.witness)},
-        }
-        if not check.ok:
-            payload["reason"] = "cps_invalid"
-        _write_output(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return 0 if check.ok else 2
-    if not check.ok:
-        return _finding(cfg, "cps_invalid", body)
-    _write_output(cfg, body)
-    return 0
+    return _verdict(cfg, payload, body, None if check.ok else "cps_invalid")
 
 
 def _cmd_check_strategy(cfg: RunConfig) -> int:
@@ -435,24 +431,17 @@ def _cmd_check_strategy(cfg: RunConfig) -> int:
         "minimal_bound_nb": min_nb,
         "minimal_bound_nf": min_nf,
     }
-    if cfg.fmt == "json":
-        if not (sf.ok and adm.ok):
-            payload["reason"] = (
-                "strategy_not_self_financing" if not sf.ok else "not_admissible"
-            )
-        _write_output(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return 0 if sf.ok and adm.ok else 2
     body = (
         f"self-financing  {str(sf.ok).lower()}\n"
         f"admissible      {str(adm.ok).lower()}\n"
         f"minimal bound   nb {min_nb!r} / nf {min_nf!r}\n"
     )
+    reason = None
     if not sf.ok:
-        return _finding(cfg, "strategy_not_self_financing", body)
-    if not adm.ok:
-        return _finding(cfg, "not_admissible", body)
-    _write_output(cfg, body)
-    return 0
+        reason = "strategy_not_self_financing"
+    elif not adm.ok:
+        reason = "not_admissible"
+    return _verdict(cfg, payload, body, reason)
 
 
 def _cmd_variation_bound(cfg: RunConfig) -> int:
@@ -462,17 +451,9 @@ def _cmd_variation_bound(cfg: RunConfig) -> int:
     check = variation_bound_check(
         tree, cfg.lambdas[0], cfg.lam_prime, strat, cps, cfg.cap
     )
+    payload = {"lhs": check.lhs, "rhs": check.rhs, "ok": check.ok}
     body = f"lhs {check.lhs!r}\nrhs {check.rhs!r}\nok  {str(check.ok).lower()}\n"
-    if cfg.fmt == "json":
-        payload = {"lhs": check.lhs, "rhs": check.rhs, "ok": check.ok}
-        if not check.ok:
-            payload["reason"] = "variation_bound_violated"
-        _write_output(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return 0 if check.ok else 2
-    if not check.ok:
-        return _finding(cfg, "variation_bound_violated", body)
-    _write_output(cfg, body)
-    return 0
+    return _verdict(cfg, payload, body, None if check.ok else "variation_bound_violated")
 
 
 def _cmd_concat_cps(cfg: RunConfig) -> int:
@@ -507,7 +488,9 @@ def _cmd_gen_tree(cfg: RunConfig) -> int:
 
 def _cmd_report(cfg: RunConfig) -> int:
     payload = _read_json(cfg.input_path)
-    _write_output(cfg, emit_report(payload if isinstance(payload, list) else payload, cfg.fmt))
+    if isinstance(payload, dict) and "curve" in payload:
+        payload = payload["curve"]  # a curve saved by `price --check-lambdas`
+    _write_output(cfg, emit_report(payload, cfg.fmt))
     return 0
 
 

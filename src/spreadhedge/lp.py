@@ -147,7 +147,8 @@ class LinearProgram:
 @dataclass
 class LpSolution:
     """Solver output.  When ``status == "optimal"`` the certificate fields are
-    populated and satisfy the residual bounds checked by ``verify_certificate``."""
+    populated and ``certificate`` is the passing ``verify_certificate`` report
+    that ``solve`` checked them with."""
 
     status: str
     x: np.ndarray | None = None
@@ -156,6 +157,7 @@ class LpSolution:
     y_ub: np.ndarray | None = None
     reduced_costs: np.ndarray | None = None
     iterations: int = 0
+    certificate: CertificateReport | None = None
 
 
 @dataclass(frozen=True)
@@ -480,10 +482,10 @@ def solve(lp: LinearProgram) -> LpSolution:
         reduced_costs=reduced,
         iterations=iters,
     )
-    report = verify_certificate(lp, sol)
-    if not report.ok:
+    sol.certificate = verify_certificate(lp, sol)
+    if not sol.certificate.ok:
         raise NumericalBreakdown(
-            "optimal basis failed its own certificate: " + ", ".join(report.failures)
+            "optimal basis failed its own certificate: " + ", ".join(sol.certificate.failures)
         )
     return sol
 

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import NotAnAntichain, ParseError, UnknownNode, ValidationError
 
 __all__ = [
-    "Node",
     "ScenarioTree",
     "Antichain",
     "ClaimSpec",
@@ -34,34 +33,26 @@ __all__ = [
 PROB_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Node:
-    """One event in the tree.
-
-    ``cond_prob`` is the probability of reaching this node from its parent;
-    the root carries 1.  ``price`` is the risky-asset price in bond units.
-    """
-
-    id: int
-    parent: int | None
-    time: int
-    cond_prob: float
-    price: float
-
-
 class ScenarioTree:
     """Uniform-depth event tree with strictly positive prices.
 
-    Immutable after construction; every derived array is precomputed.  The
-    constructor enforces all structural invariants:
+    A tree is four arrays indexed by node id ``0..node_count-1``: ``parent``
+    (-1 at the root), ``time``, ``cond_prob`` (the probability of reaching
+    the node from its parent; 1 at the root) and ``price`` (the risky-asset
+    price in bond units).  The constructor copies them, precomputes every
+    derived array and freezes them all.  It enforces, naming the offending
+    node:
 
-    * exactly one root, at time 0, with conditional probability 1,
-    * each non-root node has one parent one time step earlier,
-    * all childless nodes sit at time ``depth`` (``depth >= 1``),
-    * children probabilities are positive and sum to 1 within ``1e-12``,
-    * prices are strictly positive,
-    * ids are dense ``0..node_count-1``; children are kept in ascending id
-      order so every iteration (and LP column order) is deterministic.
+    * at least one node and ``depth >= 1``,
+    * exactly one root, with id 0, at time 0, with conditional probability 1,
+    * then, at the lowest-id node breaking one: its parent is a node id, one
+      time step earlier, and its conditional probability lies in ``(0, 1]``,
+    * then, at the lowest-id node breaking one: its price is positive and
+      finite, its children's probabilities (summed in id order) sum to 1
+      within ``1e-12``, and a childless node sits at time ``depth``.
+
+    Children are kept in ascending id order so every iteration (and LP
+    column order) is deterministic.
 
     Strategies, price systems and the hedging LP walk the tree in three
     ways, each done here one time step at a time:
@@ -74,7 +65,6 @@ class ScenarioTree:
     """
 
     __slots__ = (
-        "nodes",
         "depth",
         "node_count",
         "parent",
@@ -89,25 +79,19 @@ class ScenarioTree:
         "path_prob",
     )
 
-    def __init__(self, nodes: Iterable[Node], depth: int):
-        nodes = tuple(sorted(nodes, key=lambda n: n.id))
-        n = len(nodes)
+    def __init__(self, parent, time, cond_prob, price, depth: int):
+        parent = np.array(parent, dtype=np.int64)
+        time = np.array(time, dtype=np.int64)
+        cond_prob = np.array(cond_prob, dtype=float)
+        price = np.array(price, dtype=float)
+        if not (parent.ndim == 1 and parent.shape == time.shape == cond_prob.shape == price.shape):
+            raise ValidationError("parent, time, cond_prob and price must be 1-D arrays of one length")
+        n = len(parent)
         if n == 0:
             raise ValidationError("tree has no nodes")
-        if int(depth) < 1:
+        depth = int(depth)
+        if depth < 1:
             raise ValidationError(f"depth must be >= 1, got {depth}")
-        if [nd.id for nd in nodes] != list(range(n)):
-            raise ValidationError("node ids are not dense 0..node_count-1")
-
-        parent = np.full(n, -1, dtype=np.int64)
-        time = np.empty(n, dtype=np.int64)
-        cond_prob = np.empty(n)
-        price = np.empty(n)
-        for nd in nodes:
-            parent[nd.id] = -1 if nd.parent is None else int(nd.parent)
-            time[nd.id] = int(nd.time)
-            cond_prob[nd.id] = float(nd.cond_prob)
-            price[nd.id] = float(nd.price)
 
         roots = np.flatnonzero(parent < 0)
         if len(roots) != 1:
@@ -120,38 +104,41 @@ class ScenarioTree:
         if abs(cond_prob[root] - 1.0) > PROB_SUM_TOL:
             raise ValidationError(f"root node {root} must have conditional probability 1")
 
-        children: list[list[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            if i == root:
-                continue
+        # every node after the root: a known parent one step earlier, probability in (0, 1]
+        up = parent[1:]
+        unknown = up >= n
+        known_up = np.where(unknown, 0, up)
+        bad_step = time[1:] != time[known_up] + 1
+        bad_prob = ~((0.0 < cond_prob[1:]) & (cond_prob[1:] <= 1.0))
+        failing = np.flatnonzero(unknown | bad_step | bad_prob)
+        if failing.size:
+            i = int(failing[0]) + 1
             p = parent[i]
-            if p < 0 or p >= n:
+            if unknown[i - 1]:
                 raise ValidationError(f"node {i} has unknown parent {p}")
-            if time[i] != time[p] + 1:
-                raise ValidationError(
-                    f"node {i} at time {time[i]} has parent {p} at time {time[p]}"
-                )
-            if not (0.0 < cond_prob[i] <= 1.0):
-                raise ValidationError(f"node {i} has conditional probability {cond_prob[i]}")
-            children[p].append(i)
+            if bad_step[i - 1]:
+                raise ValidationError(f"node {i} at time {time[i]} has parent {p} at time {time[p]}")
+            raise ValidationError(f"node {i} has conditional probability {cond_prob[i]}")
 
-        for i in range(n):
-            if not (price[i] > 0.0) or not np.isfinite(price[i]):
+        # every node: positive price, children summing to 1, leaves at the horizon
+        n_kids = np.bincount(up, minlength=n)
+        kid_sum = np.bincount(up, cond_prob[1:], minlength=n)
+        bad_price = ~(price > 0.0) | ~np.isfinite(price)
+        bad_sum = (n_kids > 0) & (np.abs(kid_sum - 1.0) > PROB_SUM_TOL)
+        bad_leaf = (n_kids == 0) & (time != depth)
+        failing = np.flatnonzero(bad_price | bad_sum | bad_leaf)
+        if failing.size:
+            i = int(failing[0])
+            if bad_price[i]:
                 raise ValidationError(f"node {i} has nonpositive price {price[i]}")
-            if children[i]:
-                s = cond_prob[children[i]].sum()
-                if abs(s - 1.0) > PROB_SUM_TOL:
-                    raise ValidationError(
-                        f"children of node {i} have probabilities summing to {s!r}"
-                    )
-            else:
-                if time[i] != depth:
-                    raise ValidationError(
-                        f"leaf node {i} sits at time {time[i]}, expected depth {depth}"
-                    )
-        if time.max() > depth:
-            raise ValidationError("a node sits beyond the declared depth")
+            if bad_sum[i]:
+                raise ValidationError(
+                    f"children of node {i} have probabilities summing to {kid_sum[i]!r}"
+                )
+            raise ValidationError(f"leaf node {i} sits at time {time[i]}, expected depth {depth}")
 
+        by_parent = (np.argsort(up, kind="stable") + 1).tolist()
+        ends = np.cumsum(n_kids).tolist()
         order = np.argsort(time, kind="stable")
         levels = tuple(np.split(order, np.cumsum(np.bincount(time))[:-1]))
         path_prob = np.empty(n)
@@ -159,16 +146,15 @@ class ScenarioTree:
         for lvl in levels[1:]:
             path_prob[lvl] = path_prob[parent[lvl]] * cond_prob[lvl]
 
-        self.nodes = nodes
-        self.depth = int(depth)
+        self.depth = depth
         self.node_count = n
         self.parent = parent
         self.time = time
         self.cond_prob = cond_prob
         self.price = price
-        self.children = tuple(tuple(c) for c in children)
-        self.leaves = np.array([i for i in range(n) if not children[i]], dtype=np.int64)
-        self.internal = np.array([i for i in range(n) if children[i]], dtype=np.int64)
+        self.children = tuple(tuple(by_parent[a:b]) for a, b in zip([0] + ends[:-1], ends))
+        self.leaves = np.flatnonzero(n_kids == 0)
+        self.internal = np.flatnonzero(n_kids > 0)
         self.order = order
         self.levels = levels
         self.path_prob = path_prob
@@ -350,69 +336,81 @@ def _read_source(source) -> str:
     raise ParseError(f"unsupported source type {type(source).__name__}")
 
 
+def _int64(value) -> int:
+    v = int(value)
+    if not -(2**63) <= v < 2**63:
+        raise ValueError("integer does not fit in 64 bits")
+    return v
+
+
 def load_tree(source) -> ScenarioTree:
     """Parse and validate a tree from its JSON form.
 
     ``source`` may be a JSON string, UTF-8 bytes, or a file-like object.  The
     expected document is ``{"depth": int, "nodes": [{"id", "parent", "time",
-    "prob", "price"}, ...]}``.
+    "prob", "price"}, ...]}``; ids must be dense ``0..len(nodes)-1`` in any
+    order, and the root's parent is ``null``.
 
     Raises
     ------
     ParseError
-        Malformed JSON or missing fields.
+        Malformed JSON, missing fields, or an integer that does not fit in
+        64 bits.
     ValidationError
         Structurally invalid tree; the message names the offending node.
     """
     text = _read_source(source)
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "depth" not in obj or "nodes" not in obj:
         raise ParseError('tree document must be an object with "depth" and "nodes"')
     raw_nodes = obj["nodes"]
     if not isinstance(raw_nodes, list):
         raise ParseError('"nodes" must be a list')
-    nodes = []
+    ids, parent, time, prob, price = [], [], [], [], []
     for k, item in enumerate(raw_nodes):
         if not isinstance(item, dict):
             raise ParseError(f"nodes[{k}] is not an object")
         try:
-            nodes.append(
-                Node(
-                    id=int(item["id"]),
-                    parent=None if item["parent"] is None else int(item["parent"]),
-                    time=int(item["time"]),
-                    cond_prob=float(item["prob"]),
-                    price=float(item["price"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            ids.append(int(item["id"]))
+            parent.append(-1 if item["parent"] is None else _int64(item["parent"]))
+            time.append(_int64(item["time"]))
+            prob.append(float(item["prob"]))
+            price.append(float(item["price"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"nodes[{k}] is malformed: {exc}") from exc
     try:
         depth = int(obj["depth"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f'bad "depth": {exc}') from exc
-    return ScenarioTree(nodes, depth)
+    if sorted(ids) != list(range(len(ids))):
+        raise ValidationError("node ids are not dense 0..node_count-1")
+    by_id = np.argsort(ids)
+    return ScenarioTree(*(np.asarray(col)[by_id] for col in (parent, time, prob, price)), depth)
 
 
 def dumps_tree(tree: ScenarioTree) -> str:
     """Canonical JSON form: fixed key order, nodes by ascending id, 2-space indent.
 
-    ``dumps_tree(load_tree(x))`` is idempotent byte-for-byte.
+    The root's parent is written as ``null``.  ``dumps_tree(load_tree(x))`` is
+    idempotent byte-for-byte.
     """
+    columns = zip(
+        tree.parent.tolist(), tree.time.tolist(), tree.cond_prob.tolist(), tree.price.tolist()
+    )
     doc = {
         "depth": tree.depth,
         "nodes": [
             {
-                "id": nd.id,
-                "parent": nd.parent,
-                "time": nd.time,
-                "prob": nd.cond_prob,
-                "price": nd.price,
+                "id": i,
+                "parent": None if p < 0 else p,
+                "time": t,
+                "prob": q,
+                "price": s,
             }
-            for nd in tree.nodes
+            for i, (p, t, q, s) in enumerate(columns)
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -466,9 +464,8 @@ def generate_random_tree(
         hi = max(hi, 1.02)
     rng = np.random.default_rng(int(seed))
 
-    nodes = [Node(0, None, 0, 1.0, float(pm.root_price))]
+    parent, time, cond_prob, price = [-1], [0], [1.0], [float(pm.root_price)]
     frontier = [0]
-    next_id = 1
     for t in range(1, depth + 1):
         new_frontier = []
         for p in frontier:
@@ -481,16 +478,10 @@ def generate_random_tree(
             probs = w / w.sum()
             probs[-1] = 1.0 - probs[:-1].sum()
             for j in range(k):
-                nodes.append(
-                    Node(
-                        id=next_id,
-                        parent=p,
-                        time=t,
-                        cond_prob=float(probs[j]),
-                        price=float(nodes[p].price * factors[j]),
-                    )
-                )
-                new_frontier.append(next_id)
-                next_id += 1
+                new_frontier.append(len(parent))
+                parent.append(p)
+                time.append(t)
+                cond_prob.append(float(probs[j]))
+                price.append(float(price[p] * factors[j]))
         frontier = new_frontier
-    return ScenarioTree(nodes, depth)
+    return ScenarioTree(parent, time, cond_prob, price, depth)

@@ -33,7 +33,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .lp import LinearProgram, LpSolution, solve, verify_certificate
+from .lp import LinearProgram, LpSolution, solve
 from .scenario_tree import ClaimSpec, ScenarioTree
 from .strategy import (
     AdmissibilityCap,
@@ -365,7 +365,7 @@ def superhedge_price(
         raise CertificateFailure(f"hedging program ended with status {pricing_sol.status}")
     cps = dual_cps_from_primal(tree, pricing_sol)
     dual_value = expected_claim(tree, cps, claim)
-    complementary_slackness = verify_certificate(pricing_lp, pricing_sol).ok
+    complementary_slackness = pricing_sol.certificate.ok
 
     if cap.is_bounded:
         primal_lp, pmap = build_primal(tree, lam, claim, cap)
@@ -375,9 +375,7 @@ def superhedge_price(
                 "capped program unbounded although the cap-free one is bounded"
             )
         if primal_sol.status == "optimal":
-            complementary_slackness = (
-                complementary_slackness and verify_certificate(primal_lp, primal_sol).ok
-            )
+            complementary_slackness = complementary_slackness and primal_sol.certificate.ok
     else:
         primal_sol, pmap = pricing_sol, pricing_map
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -355,6 +356,61 @@ class TestVerifyCommands:
         assert out.read_text().startswith("reason: certificate_failure\n")
 
 
+VERDICT_DOCS = {
+    "zbad.json": {"z0": {"0": 1.0, "1": 1.0, "2": 1.0}, "z1": {"0": 94.0, "1": 121.0, "2": 78.0}},
+    "leak.json": {
+        "initial": [140.0 / 9.0, 0.0],
+        "trades": {"0": {"buy": 5.0 / 9.0}, "1": {"sell": 5.0 / 9.0, "consume": -1.0}, "2": {"sell": 5.0 / 9.0}},
+    },
+    "round.json": {"initial": [0.0, 0.0], "trades": {"0": {"buy": 1.0}, "1": {"sell": 1.0}, "2": {"sell": 1.0}}},
+    "mart.json": {"z0": {"0": 1.0, "1": 1.0, "2": 1.0}, "z1": {"0": 100.0, "1": 120.0, "2": 80.0}},
+}
+VERDICT_ARGS = {
+    "verify-cps ok": ["verify-cps", "--cps", "z.json"],
+    "verify-cps bad": ["verify-cps", "--cps", "zbad.json"],
+    "check-strategy ok": ["check-strategy", "--strategy", "hedge.json"],
+    "check-strategy leak": ["check-strategy", "--strategy", "leak.json"],
+    "check-strategy capped": ["check-strategy", "--strategy", "round.json", "--cap", "1"],
+    "variation-bound ok": [
+        "variation-bound", "--strategy", "round.json", "--cps", "mart.json",
+        "--lambda-prime", "0.05", "--cap", repr(28.0 / 81.0),
+    ],
+}
+# (exit code, sha256 of stdout) of each check command on passing and failing input
+VERDICT_BYTES = {
+    ("verify-cps ok", "json"): (0, "e9574d556bdbda5b57796799bf6deb0d30231276a752e9794375c86de38352e4"),
+    ("verify-cps ok", "csv"): (0, "1aec3e1054e4a831df858cc2061fd55c08fa905bc78c3dc0b4d3ac7f16d533da"),
+    ("verify-cps ok", "text"): (0, "1aec3e1054e4a831df858cc2061fd55c08fa905bc78c3dc0b4d3ac7f16d533da"),
+    ("verify-cps bad", "json"): (2, "de8dffb16ffbf63d5ce7d0c626c0d9b1e86b7ef61040a81d4485aa100bb5c74c"),
+    ("verify-cps bad", "csv"): (2, "54cf0afd7442a11157bc008612a9012b91d763627013ef090fd3262571bfbedc"),
+    ("verify-cps bad", "text"): (2, "bfe74bec1f4d99e9f1415c0dbbdbd6a98d98c62a578fe427a7d803b19dbbe83f"),
+    ("check-strategy ok", "json"): (0, "5fb3402b547ba4f73e477b17822452ae7f335c7db9e2ca0debc61e8327761e94"),
+    ("check-strategy ok", "csv"): (0, "ebc93069425128e233d7579506ab193ac0fdd0d138361530fb22bdc8068180a4"),
+    ("check-strategy ok", "text"): (0, "ebc93069425128e233d7579506ab193ac0fdd0d138361530fb22bdc8068180a4"),
+    ("check-strategy leak", "json"): (2, "e89bf828f6eb3fbfd274ef4757e8e66d0c669cdd9e5a49bec1fa272a8da7bf28"),
+    ("check-strategy leak", "csv"): (2, "92514d914c30848b1d206f0b50f72ac85931c311ee91ca93fdf6b2a0c4f613e3"),
+    ("check-strategy leak", "text"): (2, "5db68c53e635edb21c6ffbd54f77b7c4618f053168e367c8b8ae7d094357ad5a"),
+    ("check-strategy capped", "json"): (2, "b47cdae0398e88d9b91576e99bcd63c379736b192a867177f85e73d4004c2e45"),
+    ("check-strategy capped", "csv"): (2, "30b0da1162d3b207b6c927fd8a62fe20ec33dd7eb305529ce6a9714ce6aa764f"),
+    ("check-strategy capped", "text"): (2, "a7515c7d8caf12d7105a51e6a58b7c7c5653687e325a95d678914046ac89e073"),
+    ("variation-bound ok", "json"): (0, "a36b4dcde96895142b12afe03f3522ed37be7176d9e45b7557f0dbef346d501c"),
+    ("variation-bound ok", "csv"): (0, "418ff86d5522bb65402ac3bd1e496dd0ce5be541aec8d0e74e4655befacfcc0d"),
+    ("variation-bound ok", "text"): (0, "418ff86d5522bb65402ac3bd1e496dd0ce5be541aec8d0e74e4655befacfcc0d"),
+}
+
+
+class TestVerdictBytes:
+    @pytest.mark.parametrize("case, fmt", sorted(VERDICT_BYTES))
+    def test_output_and_exit_code_pinned(self, files, capsys, case, fmt):
+        for name, doc in VERDICT_DOCS.items():
+            (files / name).write_text(json.dumps(doc))
+        argv = [a if not a.endswith(".json") else str(files / a) for a in VERDICT_ARGS[case]]
+        argv += ["--tree", str(files / "b1.json"), "--lambda", "0.1", "--format", fmt]
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == VERDICT_BYTES[case, fmt], out
+
+
 class TestGenerationAndReport:
     def test_gen_tree_valid(self, capsys):
         code = main(["gen-tree", "--seed", "1", "--depth", "3", "--branching", "2"])
@@ -452,6 +508,40 @@ class TestGenerationAndReport:
             assert emit_report(saved, fmt) == emit_report(reports, fmt)
             for rep, doc in zip(reports, saved):
                 assert emit_report(doc, fmt) == emit_report(rep, fmt)
+
+    def test_curve_saved_with_feasibility_grid_renders(self, files, tmp_path, capsys):
+        price = [
+            "price",
+            "--tree", str(files / "b1.json"),
+            "--claim", str(files / "call.json"),
+            "--lambda", "0.01,0.05",
+            "--mode", "nf",
+            "--cap", "1",
+        ]
+        saved = tmp_path / "curve.json"
+        main(price + ["--check-lambdas", "0.02", "--format", "json", "--output", str(saved)])
+        assert set(json.loads(saved.read_text())) == {"curve", "cps_feasibility_grid"}
+        assert main(price + ["--format", "csv"]) == 0
+        direct = capsys.readouterr().out
+        assert main(["report", "--input", str(saved), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == direct
+
+    @pytest.mark.parametrize("field", ["parent", "time"])
+    def test_oversize_integer_is_input_error(self, tmp_path, capsys, field):
+        doc = json.loads(B1_JSON)
+        doc["nodes"][2][field] = 10**23
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc))
+        assert main(["price", "--tree", str(big), "--claim-expr", "0", "--lambda", "0.1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spreadhedge: nodes[2] is malformed"), err
+
+    def test_overlong_integer_literal_is_input_error(self, files, tmp_path, capsys):
+        claim = tmp_path / "claim.json"
+        claim.write_text('{"payoffs": {"1": ' + "1" * 5000 + ', "2": 0.0}}')
+        argv = ["price", "--tree", str(files / "b1.json"), "--claim", str(claim), "--lambda", "0.1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("spreadhedge:")
 
     def test_missing_file_is_input_error(self, tmp_path):
         code = main(

@@ -193,6 +193,18 @@ class TestCertificate:
         assert not report.ok
 
 
+    def test_solve_carries_the_report_it_checked(self):
+        from tests.test_acceptance import suite_instance  # that module imports this one
+
+        for seed in range(1, 11):
+            tree, claim, lam = suite_instance(seed)
+            for cap in (AdmissibilityCap.unbounded(), AdmissibilityCap.numeraire_based(100.0)):
+                lp = build_primal(tree, lam, claim, cap)[0]
+                sol = solve(lp)
+                assert sol.status == "optimal" and sol.certificate.ok, seed
+                assert sol.certificate == verify_certificate(lp, sol), seed
+        assert solve(LinearProgram(c=[-1.0], lower=[0.0])).certificate is None
+
 class TestBruteForce:
     def test_two_var_hedge_vertex(self):
         out = brute_force_vertices(two_var_hedge_lp())

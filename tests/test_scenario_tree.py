@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from spreadhedge import (
     NotAnAntichain,
     ParseError,
     PriceModel,
+    ScenarioTree,
     UnknownNode,
     ValidationError,
     dumps_tree,
@@ -89,6 +91,127 @@ class TestLoadTree:
         once = dumps_tree(load_tree(B1_JSON))
         twice = dumps_tree(load_tree(once))
         assert once == twice
+
+
+def _edited_b1(edit):
+    doc = json.loads(B1_JSON)
+    edit(doc, doc["nodes"])
+    return json.dumps(doc)
+
+
+def _set(node, **fields):
+    return lambda doc, nodes: nodes[node].update(fields)
+
+
+def _two_level_doc():
+    """Root, two children, and two grandchildren under each child."""
+    nodes = [{"id": 0, "parent": None, "time": 0, "prob": 1.0, "price": 100.0}]
+    for i, parent in enumerate((0, 0, 1, 1, 2, 2)):
+        nodes.append({"id": i + 1, "parent": parent, "time": 1 + (i > 1), "prob": 0.5, "price": 90.0 + i})
+    return {"depth": 2, "nodes": nodes}
+
+
+class TestValidationRules:
+    """Each structural rule, with the message it reports."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc, nodes: nodes.clear(), "tree has no nodes"),
+            (lambda doc, nodes: doc.update(depth=0), "depth must be >= 1, got 0"),
+            (_set(2, id=3), r"node ids are not dense 0\.\.node_count-1"),
+            (_set(2, parent=None), r"expected exactly one root, found nodes \[0, 2\]"),
+            (
+                lambda doc, nodes: (nodes[0].update(parent=1), nodes[1].update(parent=None)),
+                "root must have id 0, found id 1",
+            ),
+            (_set(0, time=1), "root node 0 must sit at time 0"),
+            (_set(0, prob=0.5), "root node 0 must have conditional probability 1"),
+            (_set(2, parent=7), "node 2 has unknown parent 7"),
+            (_set(2, time=2), "node 2 at time 2 has parent 0 at time 0"),
+            (_set(1, prob=0.0), "node 1 has conditional probability 0.0"),
+            (_set(2, prob=1.5), "node 2 has conditional probability 1.5"),
+            (_set(1, price=-3.0), "node 1 has nonpositive price -3.0"),
+            (_set(2, prob=0.6), r"children of node 0 have probabilities summing to np.float64\(1.1\)"),
+            (lambda doc, nodes: doc.update(depth=2), "leaf node 1 sits at time 1, expected depth 2"),
+        ],
+    )
+    def test_rule_and_message(self, edit, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            load_tree(_edited_b1(edit))
+
+    def test_parent_rules_report_lowest_failing_node_first_rule(self):
+        doc = _two_level_doc()
+        doc["nodes"][5]["parent"] = 9  # unknown parent
+        doc["nodes"][4]["time"] = 1  # wrong time step, and a bad probability
+        doc["nodes"][4]["prob"] = 2.0
+        with pytest.raises(ValidationError, match="^node 4 at time 1 has parent 1 at time 1$"):
+            load_tree(json.dumps(doc))
+
+    def test_node_rules_report_lowest_failing_node_first_rule(self):
+        doc = _two_level_doc()
+        doc["nodes"][6]["price"] = 0.0
+        doc["nodes"][2]["price"] = float("inf")  # bad price, and its children sum to 1.5
+        doc["nodes"][5]["prob"] = 1.0
+        with pytest.raises(ValidationError, match="^node 2 has nonpositive price inf$"):
+            load_tree(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["parent", "time"])
+    def test_oversize_integer_is_parse_error(self, field):
+        text = _edited_b1(_set(2, **{field: 10**23}))
+        with pytest.raises(ParseError, match=r"^nodes\[2\] is malformed"):
+            load_tree(text)
+
+    def test_infinite_integer_field_is_parse_error(self):
+        with pytest.raises(ParseError, match=r"^nodes\[1\] is malformed"):
+            load_tree(_edited_b1(_set(1, id=float("inf"))))
+        with pytest.raises(ParseError, match="^bad \"depth\""):
+            load_tree(_edited_b1(lambda doc, nodes: doc.update(depth=float("inf"))))
+
+
+class TestArrays:
+    def test_constructor_copies_and_freezes_its_arrays(self):
+        parent, time = [-1, 0, 0], [0, 1, 1]
+        cond_prob, price = np.array([1.0, 0.5, 0.5]), np.array([100.0, 120.0, 80.0])
+        tree = ScenarioTree(parent, time, cond_prob, price, 1)
+        price[1] = -1.0
+        assert tree.price.tolist() == [100.0, 120.0, 80.0]
+        assert tree.children == ((1, 2), (), ())
+        assert all(type(k) is int for k in tree.children[0])
+        for arr in (tree.parent, tree.time, tree.cond_prob, tree.price, tree.leaves):
+            assert not arr.flags.writeable
+        assert dumps_tree(tree) == dumps_tree(load_tree(B1_JSON))
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValidationError, match="one length"):
+            ScenarioTree([-1, 0], [0, 1, 1], [1.0, 0.5, 0.5], [100.0, 1.0, 1.0], 1)
+
+    def test_node_order_in_the_document_is_free(self):
+        tree = generate_random_tree(4, depth=3, max_branching=3)
+        doc = json.loads(dumps_tree(tree))
+        doc["nodes"].reverse()
+        assert dumps_tree(load_tree(json.dumps(doc))) == dumps_tree(tree)
+
+    def test_root_parent_written_as_null(self):
+        text = _edited_b1(_set(0, parent=-1))
+        assert json.loads(dumps_tree(load_tree(text)))["nodes"][0]["parent"] is None
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            # generated documents feed the benchmark's reference prices: their bytes are pinned
+            ((0, 3, 2, None), "12ead49e27e41779375181ab9ce8c56ade834a6382773458c534401a78b8cf39"),
+            ((7, 5, 3, None), "88318381b10c33e029b5a848397c7ccabebf196e3ee08a1ccc294e8ca65fa986"),
+            (
+                (42, 4, 4, PriceModel(straddle=False, min_step=0.8, max_step=1.3)),
+                "f2af0ed565f807173f82595d22f3c482c8db8aa23a9f8edfb415a8e33727848b",
+            ),
+        ],
+    )
+    def test_generated_tree_bytes_pinned(self, args, digest):
+        text = dumps_tree(generate_random_tree(*args))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert dumps_tree(load_tree(text)) == text
 
 
 class TestPathProbability:
