@@ -41,9 +41,10 @@ from .scenario_tree import (
 from .strategy import (
     AdmissibilityCap,
     Strategy,
-    check_admissibility,
+    _admissibility,
+    _minimal_bound,
     is_self_financing,
-    minimal_admissibility_bound,
+    liquidation_values,
 )
 from .superhedge import (
     SuperHedgeReport,
@@ -233,9 +234,8 @@ def _load_claim(cfg: RunConfig, tree: ScenarioTree) -> ClaimSpec:
         return ClaimSpec(payoffs, cfg.bound_kind)
     if cfg.claim_path is None:
         raise ParseError("a claim file or --claim-expr is required")
-    claim = ClaimSpec.from_json(_read_json(cfg.claim_path))
-    claim.validate(tree)
-    return claim
+    # validated against the tree by the pricing LP's assembly
+    return ClaimSpec.from_json(_read_json(cfg.claim_path))
 
 
 def _cap(cfg: RunConfig) -> AdmissibilityCap:
@@ -317,6 +317,24 @@ def emit_report(report, fmt: str) -> str:
     raise ValidationError(f"unknown format {fmt!r}")
 
 
+def _emit_with_grid(report, grid: dict, fmt: str) -> str:
+    """``emit_report`` plus the ``--check-lambdas`` grid ``{repr(lambda'): feasible}``
+    as text lines or the JSON key ``cps_feasibility_grid``; CSV leaves it out."""
+    text = emit_report(report, fmt)
+    if grid and fmt == "text":
+        text += "price-system feasibility grid:\n"
+        for k in sorted(grid, key=float):
+            text += f"  lambda'={k}: {'feasible' if grid[k] else 'infeasible'}\n"
+    elif grid and fmt == "json":
+        payload = json.loads(text)
+        if isinstance(payload, dict):
+            payload["cps_feasibility_grid"] = grid
+        else:
+            payload = {"curve": payload, "cps_feasibility_grid": grid}
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return text
+
+
 def _write_output(cfg: RunConfig, text: str) -> None:
     if cfg.output is None:
         sys.stdout.write(text)
@@ -361,26 +379,9 @@ def _cmd_price(cfg: RunConfig) -> int:
     claim = _load_claim(cfg, tree)
     cap = _cap(cfg)
     reports = [superhedge_price(tree, lam, claim, cap) for lam in cfg.lambdas]
-    grid = {}
-    for lam_check in cfg.check_lambdas:
-        grid[repr(float(lam_check))] = has_cps(tree, lam_check)
-    text = emit_report(reports if len(reports) > 1 else reports[0], cfg.fmt)
-    if grid and cfg.fmt == "text":
-        text += "price-system feasibility grid:\n"
-        for k in sorted(grid, key=float):
-            text += f"  lambda'={k}: {'feasible' if grid[k] else 'infeasible'}\n"
-    elif grid and cfg.fmt == "json":
-        payload = json.loads(text)
-        if isinstance(payload, dict):
-            payload["cps_feasibility_grid"] = grid
-        else:
-            payload = {"curve": payload, "cps_feasibility_grid": grid}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _write_output(cfg, text)
-    ok = all(r.all_certified() for r in reports)
-    if not ok:
-        return 2
-    return 0
+    grid = {repr(float(lam_check)): has_cps(tree, lam_check) for lam_check in cfg.check_lambdas}
+    _write_output(cfg, _emit_with_grid(reports if len(reports) > 1 else reports[0], grid, cfg.fmt))
+    return 0 if all(r.all_certified() for r in reports) else 2
 
 
 def _cmd_dual(cfg: RunConfig) -> int:
@@ -419,10 +420,10 @@ def _cmd_check_strategy(cfg: RunConfig) -> int:
     strat = Strategy.from_json(tree, _read_json(cfg.strategy_path))
     lam = cfg.lambdas[0]
     sf = is_self_financing(tree, lam, strat)
-    cap = _cap(cfg)
-    adm = check_admissibility(tree, lam, strat, cap)
-    min_nb = minimal_admissibility_bound(tree, lam, strat, "numeraire_based")
-    min_nf = minimal_admissibility_bound(tree, lam, strat, "numeraire_free")
+    values = liquidation_values(tree, lam, strat)
+    adm = _admissibility(tree, values, _cap(cfg))
+    min_nb = _minimal_bound(tree, values, "numeraire_based")
+    min_nf = _minimal_bound(tree, values, "numeraire_free")
     payload = {
         "self_financing": sf.ok,
         "violations": [list(v) for v in sf.violations],
@@ -488,9 +489,12 @@ def _cmd_gen_tree(cfg: RunConfig) -> int:
 
 def _cmd_report(cfg: RunConfig) -> int:
     payload = _read_json(cfg.input_path)
-    if isinstance(payload, dict) and "curve" in payload:
-        payload = payload["curve"]  # a curve saved by `price --check-lambdas`
-    _write_output(cfg, emit_report(payload, cfg.fmt))
+    grid = {}
+    if isinstance(payload, dict):
+        # saved by `price --check-lambdas`: a report, or {"curve": [...]}, with the grid
+        grid = payload.pop("cps_feasibility_grid", {})
+        payload = payload.get("curve", payload)
+    _write_output(cfg, _emit_with_grid(payload, grid, cfg.fmt))
     return 0
 
 

@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .scenario_tree import ClaimSpec, ScenarioTree, _stop_ids
-from .strategy import Strategy, _rate, portfolio_path
+from .strategy import PortfolioPath, Strategy, _rate, portfolio_path
 
 __all__ = [
     "ConsistentPriceSystem",
@@ -295,7 +295,11 @@ def supermartingale_check(
     lam = _rate(lam)
     if cps.node_count != tree.node_count:
         raise ShapeMismatch("price system does not index this tree")
-    path = portfolio_path(tree, lam, strategy)
+    return _supermartingale(tree, portfolio_path(tree, lam, strategy), cps)
+
+
+def _supermartingale(tree: ScenarioTree, path: PortfolioPath, cps) -> SupermartingaleCheck:
+    """``supermartingale_check`` on a portfolio path already derived."""
     value = path.phi0 * cps.z0 + path.phi1 * cps.z1
     expected = tree.children_mean(value)
     scale = np.maximum(np.maximum(1.0, np.abs(value)), tree.price * cps.z0)

@@ -337,10 +337,11 @@ def _read_source(source) -> str:
 
 
 def _int64(value) -> int:
-    v = int(value)
-    if not -(2**63) <= v < 2**63:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if not -(2**63) <= value < 2**63:
         raise ValueError("integer does not fit in 64 bits")
-    return v
+    return value
 
 
 def load_tree(source) -> ScenarioTree:
@@ -354,8 +355,8 @@ def load_tree(source) -> ScenarioTree:
     Raises
     ------
     ParseError
-        Malformed JSON, missing fields, or an integer that does not fit in
-        64 bits.
+        Malformed JSON, missing fields, or an ``id``, ``parent``, ``time``
+        or ``depth`` that is not an integer fitting in 64 bits.
     ValidationError
         Structurally invalid tree; the message names the offending node.
     """
@@ -374,7 +375,7 @@ def load_tree(source) -> ScenarioTree:
         if not isinstance(item, dict):
             raise ParseError(f"nodes[{k}] is not an object")
         try:
-            ids.append(int(item["id"]))
+            ids.append(_int64(item["id"]))
             parent.append(-1 if item["parent"] is None else _int64(item["parent"]))
             time.append(_int64(item["time"]))
             prob.append(float(item["prob"]))
@@ -382,8 +383,8 @@ def load_tree(source) -> ScenarioTree:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"nodes[{k}] is malformed: {exc}") from exc
     try:
-        depth = int(obj["depth"])
-    except (TypeError, ValueError, OverflowError) as exc:
+        depth = _int64(obj["depth"])
+    except (TypeError, ValueError) as exc:
         raise ParseError(f'bad "depth": {exc}') from exc
     if sorted(ids) != list(range(len(ids))):
         raise ValidationError("node ids are not dense 0..node_count-1")

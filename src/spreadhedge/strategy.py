@@ -161,6 +161,8 @@ class PortfolioPath:
     ``phi0``/``phi1`` are bond and share holdings after the node's trade.
     ``up0``/``down0`` split the realized bond increments, ``up1``/``down1``
     accumulate gross buys and sells; ``delta0`` is the per-node bond move.
+    ``liquidation`` is the bond value of closing the holdings at each node
+    (longs sell at the bid, shorts cover at the ask).
     """
 
     phi0: np.ndarray
@@ -170,6 +172,7 @@ class PortfolioPath:
     up1: np.ndarray
     down1: np.ndarray
     delta0: np.ndarray
+    liquidation: np.ndarray
 
 
 def portfolio_path(tree: ScenarioTree, lam, strategy: Strategy) -> PortfolioPath:
@@ -190,7 +193,9 @@ def portfolio_path(tree: ScenarioTree, lam, strategy: Strategy) -> PortfolioPath
     # the net position from the gross legs, so that phi1 - y0 == up1 - down1
     # holds exactly whenever adding y0 is exact (always for y0 = 0)
     phi1 = y0 + (up1 - down1)
-    return PortfolioPath(phi0, phi1, up0, down0, up1, down1, delta0)
+    long, short = np.maximum(phi1, 0.0), np.maximum(-phi1, 0.0)
+    liquidation = phi0 + long * (1.0 - lam) * tree.price - short * tree.price
+    return PortfolioPath(phi0, phi1, up0, down0, up1, down1, delta0, liquidation)
 
 
 @dataclass(frozen=True)
@@ -229,13 +234,7 @@ def liquidate(phi0: float, phi1: float, price: float, lam) -> float:
 
 
 def liquidation_values(tree: ScenarioTree, lam, strategy: Strategy) -> np.ndarray:
-    lam = _rate(lam)
-    path = portfolio_path(tree, lam, strategy)
-    return (
-        path.phi0
-        + np.maximum(path.phi1, 0.0) * (1.0 - lam) * tree.price
-        - np.maximum(-path.phi1, 0.0) * tree.price
-    )
+    return portfolio_path(tree, lam, strategy).liquidation
 
 
 def liquidation_value(tree: ScenarioTree, lam, strategy: Strategy, node: int) -> float:
@@ -289,6 +288,17 @@ class AdmissibilityCheck:
         return self.ok
 
 
+def _admissibility(tree: ScenarioTree, values, cap: AdmissibilityCap) -> AdmissibilityCheck:
+    """``check_admissibility`` on derived liquidation values; an unbounded
+    cap's floor is ``-inf`` everywhere, so nothing fails."""
+    floors = cap.floor(tree.price)
+    bad = np.flatnonzero(values < floors - 1e-9)
+    if bad.size:
+        i = int(bad[0])
+        return AdmissibilityCheck(False, (i, float(values[i]), float(floors[i])))
+    return AdmissibilityCheck(True, None)
+
+
 def check_admissibility(
     tree: ScenarioTree, lam, strategy: Strategy, cap: AdmissibilityCap
 ) -> AdmissibilityCheck:
@@ -300,21 +310,19 @@ def check_admissibility(
     """
     if not cap.is_bounded:
         return AdmissibilityCheck(True, None)
-    values = liquidation_values(tree, lam, strategy)
-    floors = cap.floor(tree.price)
-    bad = np.flatnonzero(values < floors - 1e-9)
-    if bad.size:
-        i = int(bad[0])
-        return AdmissibilityCheck(False, (i, float(values[i]), float(floors[i])))
-    return AdmissibilityCheck(True, None)
+    return _admissibility(tree, liquidation_values(tree, lam, strategy), cap)
+
+
+def _minimal_bound(tree: ScenarioTree, values, kind: str) -> float:
+    """``minimal_admissibility_bound`` on liquidation values already derived."""
+    if kind == "numeraire_based":
+        return float(max(0.0, -values.min()))
+    return float(max(0.0, (-values / (1.0 + tree.price)).max()))
 
 
 def minimal_admissibility_bound(tree: ScenarioTree, lam, strategy: Strategy, kind: str) -> float:
     """Smallest M >= 0 making the strategy admissible for the given kind."""
-    values = liquidation_values(tree, lam, strategy)
-    if kind == "numeraire_based":
-        return float(max(0.0, -values.min()))
-    return float(max(0.0, (-values / (1.0 + tree.price)).max()))
+    return _minimal_bound(tree, liquidation_values(tree, lam, strategy), kind)
 
 
 def make_ask_strategy(tree: ScenarioTree, stop, f: Mapping[int, float]) -> Strategy:

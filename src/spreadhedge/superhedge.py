@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cps import (
-    ConsistentPriceSystem,
-    expected_claim,
-    supermartingale_check,
-    verify_cps,
-)
+from .cps import ConsistentPriceSystem, _supermartingale, expected_claim, verify_cps
 from .errors import (
     CertificateFailure,
     DualInfeasible,
@@ -38,10 +33,10 @@ from .scenario_tree import ClaimSpec, ScenarioTree
 from .strategy import (
     AdmissibilityCap,
     Strategy,
+    _admissibility,
+    _minimal_bound,
     _rate,
-    check_admissibility,
     is_self_financing,
-    minimal_admissibility_bound,
     portfolio_path,
 )
 
@@ -326,6 +321,33 @@ class SuperHedgeReport:
         }
 
 
+def _certify(tree, lam, claim, strategy, cps, cap) -> tuple[dict, float]:
+    """Judge a hedge (None: there is none) and a price system, whichever
+    engine made them, deriving the hedge's holdings and the leaf payoffs
+    once.  Returns the certificates, ``admissibility`` judged under ``cap``,
+    and the hedge's own minimal bound for ``cap.kind`` (NaN without one)."""
+    cps_ok = bool(verify_cps(tree, lam, cps))
+    if strategy is None:
+        hedge = dict.fromkeys(("self_financing", "terminal_dominates", "admissibility"))
+        return {**hedge, "cps": cps_ok, "supermartingale": None}, math.nan
+    path = portfolio_path(tree, lam, strategy)
+    x = claim.payoff_vector(tree)
+    leaves = tree.leaves
+    scale = np.maximum(1.0, np.abs(x))
+    terminal_ok = bool(
+        (np.abs(path.phi1[leaves]) <= 1e-9).all()
+        and ((path.phi0[leaves] - x) >= -1e-9 * scale).all()
+    )
+    certificates = {
+        "self_financing": bool(is_self_financing(tree, lam, strategy)),
+        "terminal_dominates": terminal_ok,
+        "admissibility": bool(_admissibility(tree, path.liquidation, cap)),
+        "cps": cps_ok,
+        "supermartingale": bool(_supermartingale(tree, path, cps)),
+    }
+    return certificates, _minimal_bound(tree, path.liquidation, cap.kind)
+
+
 def superhedge_price(
     tree: ScenarioTree,
     lam,
@@ -339,11 +361,11 @@ def superhedge_price(
     the price system is verified on its own, and the gap
     ``|x0 - E_Q[X]|`` between the two independently checked objects is
     asserted to vanish (at 1e-7), which by weak duality proves both optimal.
-    The extracted strategy is checked self-financing and admissible at its
-    own minimal bound, and the paired value ``phi0 * z0 + phi1 * z1`` of the
-    hedge against the price system is checked to be a supermartingale under
-    the physical measure (the division-free form of shadow wealth being a
-    Q-supermartingale, valid whether or not the density vanishes somewhere).
+    One pass over its holdings checks the extracted strategy self-financing,
+    dominating and admissible under ``cap``, and the paired value ``phi0 *
+    z0 + phi1 * z1`` of hedge and price system a supermartingale under the
+    physical measure (shadow wealth as a Q-supermartingale, in division-free
+    form, valid whether or not the density vanishes somewhere).
     A bounded cap adds one solve of the capped hedging LP for the hedge and
     the primal value; the dual value and price system stay those of the
     cap-free program.  The capped price may be higher; a capped LP that ends
@@ -353,7 +375,6 @@ def superhedge_price(
     """
     lam = _rate(lam)
     cap = cap or AdmissibilityCap.unbounded()
-    claim.validate(tree)
 
     pricing_lp, pricing_map = build_primal(tree, lam, claim, AdmissibilityCap.unbounded())
     pricing_sol = solve(pricing_lp)
@@ -379,53 +400,15 @@ def superhedge_price(
     else:
         primal_sol, pmap = pricing_sol, pricing_map
 
-    certificates: dict = {}
-    strategy = None
-    computed_bound = math.nan
-    if primal_sol.status == "optimal":
-        primal_value = primal_sol.objective
-        strategy = extract_strategy(primal_sol, pmap, tree)
-        sf = is_self_financing(tree, lam, strategy)
-        certificates["self_financing"] = bool(sf)
-
-        path = portfolio_path(tree, lam, strategy)
-        x = claim.payoff_vector(tree)
-        leaves = tree.leaves
-        scale = np.maximum(1.0, np.abs(x))
-        terminal_ok = bool(
-            (np.abs(path.phi1[leaves]) <= 1e-9).all()
-            and ((path.phi0[leaves] - x) >= -1e-9 * scale).all()
-        )
-        certificates["terminal_dominates"] = terminal_ok
-
-        computed_bound = minimal_admissibility_bound(tree, lam, strategy, cap.kind)
-        adm = check_admissibility(tree, lam, strategy, AdmissibilityCap(cap.kind, computed_bound))
-        if cap.is_bounded:
-            adm_declared = check_admissibility(tree, lam, strategy, cap)
-            certificates["admissibility"] = bool(adm) and bool(adm_declared)
-        else:
-            certificates["admissibility"] = bool(adm)
-    else:
-        primal_value = math.inf
-        certificates["self_financing"] = None
-        certificates["terminal_dominates"] = None
-        certificates["admissibility"] = None
-
-    certificates["cps"] = bool(verify_cps(tree, lam, cps))
-    if strategy is not None:
-        certificates["supermartingale"] = bool(
-            supermartingale_check(tree, lam, cps, strategy)
-        )
-    else:
-        certificates["supermartingale"] = None
+    optimal = primal_sol.status == "optimal"
+    primal_value = primal_sol.objective if optimal else math.inf
+    strategy = extract_strategy(primal_sol, pmap, tree) if optimal else None
+    certificates, computed_bound = _certify(tree, lam, claim, strategy, cps, cap)
     certificates["complementary_slackness"] = complementary_slackness
 
     gap = abs(primal_value - dual_value) if np.isfinite(primal_value) else math.inf
-    if not cap.is_bounded:
-        if not (gap <= GAP_TOL):
-            raise CertificateFailure(
-                f"duality gap {gap} exceeds {GAP_TOL} with an unbounded cap"
-            )
+    if not cap.is_bounded and not (gap <= GAP_TOL):
+        raise CertificateFailure(f"duality gap {gap} exceeds {GAP_TOL} with an unbounded cap")
 
     return SuperHedgeReport(
         lam=lam,
@@ -486,7 +469,7 @@ def variation_bound_check(
     bound = float(bound)
     if bound < 0.0:
         raise PreconditionViolated("admissibility bound must be nonnegative")
-    if not check_admissibility(tree, lam, strategy, AdmissibilityCap.numeraire_free(bound)):
+    if not _admissibility(tree, path.liquidation, AdmissibilityCap.numeraire_free(bound)):
         raise PreconditionViolated("strategy is not admissible at the stated bound")
     if not cps_prime.strict:
         raise PreconditionViolated("price system must be strict")

@@ -510,21 +510,42 @@ class TestGenerationAndReport:
                 assert emit_report(doc, fmt) == emit_report(rep, fmt)
 
     def test_curve_saved_with_feasibility_grid_renders(self, files, tmp_path, capsys):
-        price = [
-            "price",
-            "--tree", str(files / "b1.json"),
-            "--claim", str(files / "call.json"),
-            "--lambda", "0.01,0.05",
-            "--mode", "nf",
-            "--cap", "1",
-        ]
-        saved = tmp_path / "curve.json"
-        main(price + ["--check-lambdas", "0.02", "--format", "json", "--output", str(saved)])
-        assert set(json.loads(saved.read_text())) == {"curve", "cps_feasibility_grid"}
-        assert main(price + ["--format", "csv"]) == 0
-        direct = capsys.readouterr().out
-        assert main(["report", "--input", str(saved), "--format", "csv"]) == 0
-        assert capsys.readouterr().out == direct
+        # `report` reproduces the bytes `price` printed, the feasibility grid included
+        grid = {"csv": "", "json": '"cps_feasibility_grid"', "text": "price-system feasibility grid:"}
+        for lambdas in ("0.01,0.05", "0.05"):
+            price = [
+                "price",
+                "--tree", str(files / "b1.json"),
+                "--claim", str(files / "call.json"),
+                "--lambda", lambdas,
+                "--mode", "nf",
+                "--cap", "1",
+                "--check-lambdas", "0.3,0.02",
+            ]
+            saved = tmp_path / "saved.json"
+            assert main(price + ["--format", "json", "--output", str(saved)]) == 0
+            if "," in lambdas:
+                assert set(json.loads(saved.read_text())) == {"curve", "cps_feasibility_grid"}
+            for fmt, marker in grid.items():
+                assert main(price + ["--format", fmt]) == 0
+                direct = capsys.readouterr().out
+                assert marker in direct
+                assert main(["report", "--input", str(saved), "--format", fmt]) == 0
+                assert capsys.readouterr().out == direct, (lambdas, fmt)
+
+    @pytest.mark.parametrize(
+        "node, field, value",
+        [(1, "id", 1.9), (2, "parent", False), (1, "time", "1"), (None, "depth", 1.0)],
+    )
+    def test_non_integer_field_is_input_error(self, tmp_path, capsys, node, field, value):
+        doc = json.loads(B1_JSON)
+        (doc if node is None else doc["nodes"][node])[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["price", "--tree", str(bad), "--claim-expr", "0", "--lambda", "0.1"]) == 1
+        err = capsys.readouterr().err
+        where = 'bad "depth"' if node is None else f"nodes[{node}] is malformed"
+        assert err.startswith(f"spreadhedge: {where}: expected an integer"), err
 
     @pytest.mark.parametrize("field", ["parent", "time"])
     def test_oversize_integer_is_input_error(self, tmp_path, capsys, field):

@@ -162,6 +162,26 @@ class TestValidationRules:
         with pytest.raises(ParseError, match=r"^nodes\[2\] is malformed"):
             load_tree(text)
 
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (_set(1, id=1.9), r"nodes\[1\] is malformed"),
+            (_set(1, time=1.7), r"nodes\[1\] is malformed"),
+            (_set(1, time="1"), r"nodes\[1\] is malformed"),
+            (_set(1, time=1.0), r"nodes\[1\] is malformed"),
+            (_set(2, parent=False), r"nodes\[2\] is malformed"),
+            (_set(2, parent=0.0), r"nodes\[2\] is malformed"),
+            (lambda doc, nodes: doc.update(depth=1.5), 'bad "depth"'),
+            (lambda doc, nodes: doc.update(depth=True), 'bad "depth"'),
+        ],
+        ids=["id-1.9", "time-1.7", "time-str", "time-1.0", "parent-false", "parent-0.0",
+             "depth-1.5", "depth-true"],
+    )
+    def test_non_integer_field_is_parse_error(self, edit, where):
+        # each of these used to load, silently truncated or converted
+        with pytest.raises(ParseError, match=f"^{where}: expected an integer"):
+            load_tree(_edited_b1(edit))
+
     def test_infinite_integer_field_is_parse_error(self):
         with pytest.raises(ParseError, match=r"^nodes\[1\] is malformed"):
             load_tree(_edited_b1(_set(1, id=float("inf"))))

@@ -29,11 +29,38 @@ from spreadhedge import (
     variation_bound_check,
     verify_cps,
 )
+from spreadhedge.cps import supermartingale_check
 from spreadhedge.strategy import Strategy, minimal_admissibility_bound, portfolio_path
-from spreadhedge.superhedge import has_cps
+from spreadhedge.superhedge import _certify, has_cps
 from tests.test_acceptance import suite_instance
 
 UNBOUNDED = AdmissibilityCap.unbounded()
+FIVE_CAPS = [
+    UNBOUNDED,
+    AdmissibilityCap.numeraire_based(0.0),
+    AdmissibilityCap.numeraire_based(10.0),
+    AdmissibilityCap.numeraire_free(0.1),
+    AdmissibilityCap.numeraire_free(1.0),
+]
+
+
+def assert_pass_agrees(tree, lam, strategy, cps, cap, certificates, bound):
+    """Each verdict of the single certification pass is the verdict of the
+    public check, which derives the hedge's holdings on its own."""
+    where = (tree, lam, cap)
+    assert certificates["cps"] == bool(verify_cps(tree, lam, cps)), where
+    if strategy is None:
+        hedge = ("self_financing", "terminal_dominates", "admissibility", "supermartingale")
+        assert all(certificates[k] is None for k in hedge) and np.isnan(bound), where
+        return
+    assert certificates["self_financing"] == bool(is_self_financing(tree, lam, strategy)), where
+    assert certificates["admissibility"] == bool(check_admissibility(tree, lam, strategy, cap)), where
+    assert certificates["supermartingale"] == bool(
+        supermartingale_check(tree, lam, cps, strategy)
+    ), where
+    assert bound == minimal_admissibility_bound(tree, lam, strategy, cap.kind), where
+    # the hedge is admissible at its own minimal bound, so pricing does not re-check it
+    assert check_admissibility(tree, lam, strategy, AdmissibilityCap(cap.kind, bound)), where
 
 
 def random_claim(tree, seed, *, allow_negative=True):
@@ -233,6 +260,26 @@ class TestSuperhedgePrice:
         assert check_admissibility(
             b1, 0.1, rep.strategy, AdmissibilityCap("numeraire_based", rep.computed_cap_bound)
         )
+        keys = ["self_financing", "terminal_dominates", "admissibility", "cps", "supermartingale"]
+        assert list(rep.certificates) == keys + ["complementary_slackness"]
+        # a capped program that ends without an optimum leaves no hedge to judge
+        certificates, bound = _certify(b1, 0.1, c1, None, rep.cps, UNBOUNDED)
+        assert list(certificates) == keys
+        assert_pass_agrees(b1, 0.1, None, rep.cps, UNBOUNDED, certificates, bound)
+        # the pass judges any hedge against any cap: the cap-free hedge of
+        # every suite instance, under five caps, passes some floors and fails others
+        admissible = set()
+        for seed in range(1, 201):
+            tree, claim, lam = suite_instance(seed)
+            rep = superhedge_price(tree, lam, claim)
+            certificates, bound = _certify(tree, lam, claim, rep.strategy, rep.cps, UNBOUNDED)
+            assert {**certificates, "complementary_slackness": True} == rep.certificates, seed
+            assert bound == rep.computed_cap_bound, seed
+            for cap in FIVE_CAPS:
+                certificates, bound = _certify(tree, lam, claim, rep.strategy, rep.cps, cap)
+                assert_pass_agrees(tree, lam, rep.strategy, rep.cps, cap, certificates, bound)
+                admissible.add(certificates["admissibility"])
+        assert admissible == {True, False}
 
     def test_tiny_friction_fully_certified(self):
         # near-frictionless optimum: the strict representative's density
@@ -295,6 +342,9 @@ class TestDualOfPrimal:
                 rep = superhedge_price(tree, lam, claim, cap)
                 assert abs(rep.dual_value - ref) <= 1e-9 * max(1.0, abs(ref)), (seed, cap)
                 assert verify_cps(tree, lam, rep.cps), (seed, cap)
+                assert_pass_agrees(
+                    tree, lam, rep.strategy, rep.cps, cap, rep.certificates, rep.computed_cap_bound
+                )
 
     def test_multiplier_mapping_rejects_capped_solve(self, b1, c1):
         lp, _ = build_primal(b1, 0.1, c1, AdmissibilityCap.numeraire_based(100.0))
