@@ -14,17 +14,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .cps import ConsistentPriceSystem, verify_cps
 from .errors import (
-    BadFriction,
-    BadFrictionGap,
     CertificateFailure,
     DualInfeasible,
     ParseError,
     PreconditionViolated,
-    ShapeMismatch,
     SpreadHedgeError,
     UnverifiedInput,
     ValidationError,
@@ -34,6 +30,7 @@ from .scenario_tree import (
     ClaimSpec,
     PriceModel,
     ScenarioTree,
+    _number,
     dumps_tree,
     generate_random_tree,
     load_tree,
@@ -43,6 +40,7 @@ from .strategy import (
     Strategy,
     _admissibility,
     _minimal_bound,
+    _rate,
     is_self_financing,
     liquidation_values,
 )
@@ -53,7 +51,7 @@ from .superhedge import (
     variation_bound_check,
 )
 
-__all__ = ["RunConfig", "run", "emit_report", "parse_payoff_expr", "main"]
+__all__ = ["emit_report", "parse_payoff_expr", "main"]
 
 CSV_COLUMNS = [
     "lambda",
@@ -69,34 +67,6 @@ CSV_COLUMNS = [
     "cert_supermartingale",
     "cert_complementary_slackness",
 ]
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; one instance per command run."""
-
-    command: str
-    tree_path: str | None = None
-    claim_path: str | None = None
-    strategy_path: str | None = None
-    cps_path: str | None = None
-    cps_global_path: str | None = None
-    input_path: str | None = None
-    lambdas: tuple[float, ...] = ()
-    lam_prime: float | None = None
-    lam_n: float | None = None
-    mode: str = "nb"
-    cap: float = math.inf
-    seed: int = 1
-    depth: int = 3
-    branching: int = 2
-    straddle: bool = True
-    stop: tuple[int, ...] = ()
-    claim_expr: str | None = None
-    bound_kind: str = "constant"
-    check_lambdas: tuple[float, ...] = ()
-    output: str | None = None
-    fmt: str = "text"
 
 
 # ---------------------------------------------------------------------------
@@ -227,20 +197,20 @@ def _load_tree(path: str) -> ScenarioTree:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_claim(cfg: RunConfig, tree: ScenarioTree) -> ClaimSpec:
-    if cfg.claim_expr is not None:
-        fn = parse_payoff_expr(cfg.claim_expr)
+def _load_claim(args: argparse.Namespace, tree: ScenarioTree) -> ClaimSpec:
+    if args.claim_expr is not None:
+        fn = parse_payoff_expr(args.claim_expr)
         payoffs = {int(l): float(fn(float(tree.price[l]))) for l in tree.leaves}
-        return ClaimSpec(payoffs, cfg.bound_kind)
-    if cfg.claim_path is None:
+        return ClaimSpec(payoffs, args.bound_kind)
+    if args.claim_path is None:
         raise ParseError("a claim file or --claim-expr is required")
     # validated against the tree by the pricing LP's assembly
-    return ClaimSpec.from_json(_read_json(cfg.claim_path))
+    return ClaimSpec.from_json(_read_json(args.claim_path))
 
 
-def _cap(cfg: RunConfig) -> AdmissibilityCap:
-    kind = "numeraire_based" if cfg.mode == "nb" else "numeraire_free"
-    return AdmissibilityCap(kind, cfg.cap)
+def _cap(args: argparse.Namespace) -> AdmissibilityCap:
+    kind = "numeraire_based" if args.mode == "nb" else "numeraire_free"
+    return AdmissibilityCap(kind, args.cap)
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +228,29 @@ def emit_report(report, fmt: str) -> str:
 
     ``report`` is a ``SuperHedgeReport``, a list of them (a friction curve),
     or an equivalent plain dict previously produced by the JSON format.
-    Reports with no certificates are rejected.
+    Reports with no certificates are rejected, and so are plain dicts
+    lacking a key the renderers read or holding a value of the wrong type.
     """
     reports = report if isinstance(report, list) else [report]
     if not reports:
         raise ValidationError("nothing to render")
     dicts = []
     for r in reports:
-        d = r.to_json() if isinstance(r, SuperHedgeReport) else dict(r)
-        if not d.get("certificates"):
+        d = r.to_json() if isinstance(r, SuperHedgeReport) else r
+        if not isinstance(d, dict):
+            raise ValidationError(f"a report must be an object, got {type(d).__name__}")
+        if not d.get("certificates") or not isinstance(d["certificates"], dict):
             raise ValidationError("report carries no certificates")
+        for key in ("lambda", "primal", "dual", "gap", "mode", "cap"):
+            if key not in d:
+                raise ValidationError(f"report lacks {key!r}")
+        try:
+            for key in ("lambda", "primal", "dual", "gap"):
+                _number(d[key], f"report {key!r}")
+        except (TypeError, OverflowError) as exc:
+            raise ValidationError(str(exc)) from exc
+        if not isinstance(d["mode"], str):
+            raise ValidationError(f"report 'mode' must be a string, got {d['mode']!r}")
         dicts.append(d)
 
     if fmt == "json":
@@ -335,38 +318,36 @@ def _emit_with_grid(report, grid: dict, fmt: str) -> str:
     return text
 
 
-def _write_output(cfg: RunConfig, text: str) -> None:
-    if cfg.output is None:
+def _write_output(args: argparse.Namespace, text: str) -> None:
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
-def _finding(cfg: RunConfig, reason: str, detail: str, extra: dict | None = None) -> int:
+def _finding(args: argparse.Namespace, reason: str, detail: str) -> int:
     payload = {"reason": reason, "detail": detail}
-    if extra:
-        payload.update(extra)
-    if cfg.fmt == "json":
-        _write_output(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    elif cfg.fmt == "csv":
-        _write_output(cfg, "reason,detail\n" + f"{reason},{json.dumps(detail)}\n")
+    if args.fmt == "json":
+        _write_output(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    elif args.fmt == "csv":
+        _write_output(args, "reason,detail\n" + f"{reason},{json.dumps(detail)}\n")
     else:
-        _write_output(cfg, f"reason: {reason}\n{detail}\n")
+        _write_output(args, f"reason: {reason}\n{detail}\n")
     return 2
 
 
-def _verdict(cfg: RunConfig, payload: dict, body: str, reason: str | None) -> int:
+def _verdict(args: argparse.Namespace, payload: dict, body: str, reason: str | None) -> int:
     """Emit a check's outcome: JSON gets ``payload`` (plus ``reason`` when it
     failed), the other formats ``body``, or a finding carrying it."""
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         if reason is not None:
             payload = {**payload, "reason": reason}
-        _write_output(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_output(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     elif reason is not None:
-        return _finding(cfg, reason, body)
+        return _finding(args, reason, body)
     else:
-        _write_output(cfg, body)
+        _write_output(args, body)
     return 0 if reason is None else 2
 
 
@@ -374,23 +355,23 @@ def _verdict(cfg: RunConfig, payload: dict, body: str, reason: str | None) -> in
 # commands
 
 
-def _cmd_price(cfg: RunConfig) -> int:
-    tree = _load_tree(cfg.tree_path)
-    claim = _load_claim(cfg, tree)
-    cap = _cap(cfg)
-    reports = [superhedge_price(tree, lam, claim, cap) for lam in cfg.lambdas]
-    grid = {repr(float(lam_check)): has_cps(tree, lam_check) for lam_check in cfg.check_lambdas}
-    _write_output(cfg, _emit_with_grid(reports if len(reports) > 1 else reports[0], grid, cfg.fmt))
+def _cmd_price(args: argparse.Namespace) -> int:
+    tree = _load_tree(args.tree_path)
+    claim = _load_claim(args, tree)
+    cap = _cap(args)
+    reports = [superhedge_price(tree, lam, claim, cap) for lam in args.lambdas]
+    grid = {repr(lam_check): has_cps(tree, lam_check) for lam_check in args.check_lambdas}
+    _write_output(args, _emit_with_grid(reports if len(reports) > 1 else reports[0], grid, args.fmt))
     return 0 if all(r.all_certified() for r in reports) else 2
 
 
-def _cmd_dual(cfg: RunConfig) -> int:
-    tree = _load_tree(cfg.tree_path)
-    claim = _load_claim(cfg, tree)
-    lam = cfg.lambdas[0]
+def _cmd_dual(args: argparse.Namespace) -> int:
+    tree = _load_tree(args.tree_path)
+    claim = _load_claim(args, tree)
+    lam = args.lambdas[0]
     report = superhedge_price(tree, lam, claim)
     if not report.certificates["cps"]:
-        return _finding(cfg, "certificate_failure", "optimal price system fails verification")
+        return _finding(args, "certificate_failure", "optimal price system fails verification")
     cps = report.cps
     payload = {
         "lambda": lam,
@@ -399,29 +380,29 @@ def _cmd_dual(cfg: RunConfig) -> int:
         "strict": cps.strict,
     }
     body = f"lambda {lam!r}\ndual   {report.dual_value!r}\nstrict {str(cps.strict).lower()}\n"
-    return _verdict(cfg, payload, body, None)
+    return _verdict(args, payload, body, None)
 
 
-def _cmd_verify_cps(cfg: RunConfig) -> int:
-    tree = _load_tree(cfg.tree_path)
-    cps = ConsistentPriceSystem.from_json(tree, _read_json(cfg.cps_path))
-    lam = cfg.lambdas[0]
+def _cmd_verify_cps(args: argparse.Namespace) -> int:
+    tree = _load_tree(args.tree_path)
+    cps = ConsistentPriceSystem.from_json(tree, _read_json(args.cps_path))
+    lam = args.lambdas[0]
     check = verify_cps(tree, lam, cps)
     lines = ["family            worst-residual  witness-node"]
     for fam in sorted(check.worst):
         lines.append(f"{fam:18s}{check.worst[fam]:.3e}       {check.witness[fam]}")
     payload = {"ok": check.ok, "worst": check.worst, "witness": check.witness}
     body = "\n".join(lines) + "\n"
-    return _verdict(cfg, payload, body, None if check.ok else "cps_invalid")
+    return _verdict(args, payload, body, None if check.ok else "cps_invalid")
 
 
-def _cmd_check_strategy(cfg: RunConfig) -> int:
-    tree = _load_tree(cfg.tree_path)
-    strat = Strategy.from_json(tree, _read_json(cfg.strategy_path))
-    lam = cfg.lambdas[0]
+def _cmd_check_strategy(args: argparse.Namespace) -> int:
+    tree = _load_tree(args.tree_path)
+    strat = Strategy.from_json(tree, _read_json(args.strategy_path))
+    lam = args.lambdas[0]
     sf = is_self_financing(tree, lam, strat)
     values = liquidation_values(tree, lam, strat)
-    adm = _admissibility(tree, values, _cap(cfg))
+    adm = _admissibility(tree, values, _cap(args))
     min_nb = _minimal_bound(tree, values, "numeraire_based")
     min_nf = _minimal_bound(tree, values, "numeraire_free")
     payload = {
@@ -442,80 +423,64 @@ def _cmd_check_strategy(cfg: RunConfig) -> int:
         reason = "strategy_not_self_financing"
     elif not adm.ok:
         reason = "not_admissible"
-    return _verdict(cfg, payload, body, reason)
+    return _verdict(args, payload, body, reason)
 
 
-def _cmd_variation_bound(cfg: RunConfig) -> int:
-    tree = _load_tree(cfg.tree_path)
-    strat = Strategy.from_json(tree, _read_json(cfg.strategy_path))
-    cps = ConsistentPriceSystem.from_json(tree, _read_json(cfg.cps_path))
+def _cmd_variation_bound(args: argparse.Namespace) -> int:
+    tree = _load_tree(args.tree_path)
+    strat = Strategy.from_json(tree, _read_json(args.strategy_path))
+    cps = ConsistentPriceSystem.from_json(tree, _read_json(args.cps_path))
     check = variation_bound_check(
-        tree, cfg.lambdas[0], cfg.lam_prime, strat, cps, cfg.cap
+        tree, args.lambdas[0], args.lam_prime, strat, cps, args.cap
     )
     payload = {"lhs": check.lhs, "rhs": check.rhs, "ok": check.ok}
     body = f"lhs {check.lhs!r}\nrhs {check.rhs!r}\nok  {str(check.ok).lower()}\n"
-    return _verdict(cfg, payload, body, None if check.ok else "variation_bound_violated")
+    return _verdict(args, payload, body, None if check.ok else "variation_bound_violated")
 
 
-def _cmd_concat_cps(cfg: RunConfig) -> int:
-    tree = _load_tree(cfg.tree_path)
-    local = ConsistentPriceSystem.from_json(tree, _read_json(cfg.cps_path))
-    glob = ConsistentPriceSystem.from_json(tree, _read_json(cfg.cps_global_path))
+def _cmd_concat_cps(args: argparse.Namespace) -> int:
+    tree = _load_tree(args.tree_path)
+    local = ConsistentPriceSystem.from_json(tree, _read_json(args.cps_path))
+    glob = ConsistentPriceSystem.from_json(tree, _read_json(args.cps_global_path))
     try:
         out = concatenate_cps(
-            tree, cfg.lambdas[0], cfg.lam_n, cfg.lam_prime, set(cfg.stop), local, glob
+            tree, args.lambdas[0], args.lam_n, args.lam_prime, set(args.stop), local, glob
         )
     except UnverifiedInput as exc:
-        return _finding(cfg, "cps_invalid", str(exc))
+        return _finding(args, "cps_invalid", str(exc))
     except CertificateFailure as exc:
-        return _finding(cfg, "certificate_failure", str(exc))
-    _write_output(cfg, json.dumps(out.to_json(), indent=2, sort_keys=True) + "\n")
+        return _finding(args, "certificate_failure", str(exc))
+    _write_output(args, json.dumps(out.to_json(), indent=2, sort_keys=True) + "\n")
     return 0
 
 
-def _cmd_gen_tree(cfg: RunConfig) -> int:
-    seed = cfg.seed
+def _cmd_gen_tree(args: argparse.Namespace) -> int:
+    seed = args.seed
     env = os.environ.get("SPREADHEDGE_SEED")
     if env is not None:
         try:
             seed = int(env)
         except ValueError as exc:
             raise ParseError(f"SPREADHEDGE_SEED must be an integer: {env!r}") from exc
-    pm = PriceModel(straddle=cfg.straddle)
-    tree = generate_random_tree(seed, cfg.depth, cfg.branching, pm)
-    _write_output(cfg, dumps_tree(tree))
+    pm = PriceModel(straddle=not args.allow_arbitrage)
+    tree = generate_random_tree(seed, args.depth, args.branching, pm)
+    _write_output(args, dumps_tree(tree))
     return 0
 
 
-def _cmd_report(cfg: RunConfig) -> int:
-    payload = _read_json(cfg.input_path)
+def _cmd_report(args: argparse.Namespace) -> int:
+    payload = _read_json(args.input_path)
     grid = {}
     if isinstance(payload, dict):
         # saved by `price --check-lambdas`: a report, or {"curve": [...]}, with the grid
         grid = payload.pop("cps_feasibility_grid", {})
         payload = payload.get("curve", payload)
-    _write_output(cfg, _emit_with_grid(payload, grid, cfg.fmt))
+    if not isinstance(grid, dict):
+        raise ValidationError(f"'cps_feasibility_grid' must be an object, got {type(grid).__name__}")
+    for k in grid:
+        _numeric("'cps_feasibility_grid' key")(k)  # the text form sorts the keys as numbers
+    _write_output(args, _emit_with_grid(payload, grid, args.fmt))
     return 0
-
-
-_COMMANDS = {
-    "price": _cmd_price,
-    "dual": _cmd_dual,
-    "verify-cps": _cmd_verify_cps,
-    "check-strategy": _cmd_check_strategy,
-    "variation-bound": _cmd_variation_bound,
-    "concat-cps": _cmd_concat_cps,
-    "gen-tree": _cmd_gen_tree,
-    "report": _cmd_report,
-}
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one configured command; returns the process exit code."""
-    for lam in cfg.lambdas:
-        if not (0.0 <= lam < 1.0):
-            raise ValidationError(f"lambda must be in [0, 1), got {lam}")
-    return _COMMANDS[cfg.command](cfg)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -525,129 +490,119 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _numeric(name: str, kind=float, many: bool = False):
+    """Converter of numeric text, the argparse ``type=`` of every numeric
+    flag: ``kind`` of the text, or with ``many`` the tuple of its
+    comma-separated values (none for "").  Text ``kind`` cannot convert is a
+    ``ParseError`` naming ``name``; a value it converts but rejects
+    (``_rate``'s friction range, a negative cap) raises ``kind``'s own error."""
+
+    def one(text: str):
+        try:
+            return kind(text)
+        except ValueError as exc:
+            raise ParseError(f"{name} expects a number, got {text!r}") from exc
+
+    def convert(text: str):
+        if not many:
+            return one(text)
+        return tuple(one(v) for v in text.split(",")) if text else ()
+
+    return convert
+
+
+def _lambdas(text: str) -> tuple[float, ...]:
+    if not text:
+        raise ParseError("--lambda needs at least one value")
+    return _numeric("--lambda", _rate, many=True)(text)
+
+
+def _cap_bound(text: str) -> float:
+    cap = float(text)  # "inf" included
+    if not cap >= 0.0:
+        raise ParseError(f"--cap must be a nonnegative number or 'inf', got {text}")
+    return cap
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="spreadhedge", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, tree=True, lam=True):
-        if tree:
-            sp.add_argument("--tree", required=True, dest="tree_path")
-        if lam:
-            sp.add_argument("--lambda", required=True, dest="lambdas")
-        sp.add_argument("--format", default="text", choices=["json", "csv", "text"], dest="fmt")
+    def command(name, handler, summary):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(handler=handler)
+        return sp
+
+    def io_flags(sp, fmts=("json", "csv", "text")):  # the last format is the default
+        sp.add_argument("--format", default=fmts[-1], choices=fmts, dest="fmt")
         sp.add_argument("--output", default=None)
 
-    sp = sub.add_parser("price", help="super-replication price with certificates")
-    add_common(sp)
-    sp.add_argument("--claim", dest="claim_path")
-    sp.add_argument("--claim-expr", dest="claim_expr")
-    sp.add_argument("--bound", default="constant", choices=["constant", "stock_bond"], dest="bound_kind")
+    def priced(name, handler, summary):
+        sp = command(name, handler, summary)
+        sp.add_argument("--tree", required=True, dest="tree_path")
+        sp.add_argument("--lambda", required=True, type=_lambdas, dest="lambdas")
+        io_flags(sp)
+        return sp
+
+    def claim(sp):
+        sp.add_argument("--claim", dest="claim_path")
+        sp.add_argument("--claim-expr", dest="claim_expr")
+        sp.add_argument("--bound", default="constant", choices=["constant", "stock_bond"], dest="bound_kind")
+
+    sp = priced("price", _cmd_price, "super-replication price with certificates")
+    claim(sp)
     sp.add_argument("--mode", default="nb", choices=["nb", "nf"])
-    sp.add_argument("--cap", default="inf")
-    sp.add_argument("--check-lambdas", default="", dest="check_lambdas")
+    sp.add_argument("--cap", default=math.inf, type=_numeric("--cap", _cap_bound))
+    sp.add_argument(
+        "--check-lambdas", default=(), type=_numeric("--check-lambdas", _rate, many=True), dest="check_lambdas"
+    )
 
-    sp = sub.add_parser("dual", help="dual value and optimal price system")
-    add_common(sp)
-    sp.add_argument("--claim", dest="claim_path")
-    sp.add_argument("--claim-expr", dest="claim_expr")
-    sp.add_argument("--bound", default="constant", choices=["constant", "stock_bond"], dest="bound_kind")
+    claim(priced("dual", _cmd_dual, "dual value and optimal price system"))
 
-    sp = sub.add_parser("verify-cps", help="verify a price system at a friction level")
-    add_common(sp)
+    sp = priced("verify-cps", _cmd_verify_cps, "verify a price system at a friction level")
     sp.add_argument("--cps", required=True, dest="cps_path")
 
-    sp = sub.add_parser("check-strategy", help="self-financing and admissibility checks")
-    add_common(sp)
+    sp = priced("check-strategy", _cmd_check_strategy, "self-financing and admissibility checks")
     sp.add_argument("--strategy", required=True, dest="strategy_path")
     sp.add_argument("--mode", default="nb", choices=["nb", "nf"])
-    sp.add_argument("--cap", default="inf")
+    sp.add_argument("--cap", default=math.inf, type=_numeric("--cap", _cap_bound))
 
-    sp = sub.add_parser("variation-bound", help="expected bond-variation bound check")
-    add_common(sp)
+    sp = priced("variation-bound", _cmd_variation_bound, "expected bond-variation bound check")
     sp.add_argument("--strategy", required=True, dest="strategy_path")
     sp.add_argument("--cps", required=True, dest="cps_path")
-    sp.add_argument("--lambda-prime", required=True, type=float, dest="lam_prime")
-    sp.add_argument("--cap", required=True)
+    sp.add_argument("--lambda-prime", required=True, type=_numeric("--lambda-prime", _rate), dest="lam_prime")
+    sp.add_argument("--cap", required=True, type=_numeric("--cap", _cap_bound))
 
-    sp = sub.add_parser("concat-cps", help="splice a stopped-market system onto a global one")
-    add_common(sp)
+    sp = priced("concat-cps", _cmd_concat_cps, "splice a stopped-market system onto a global one")
     sp.add_argument("--cps", required=True, dest="cps_path")
     sp.add_argument("--cps-global", required=True, dest="cps_global_path")
-    sp.add_argument("--lambda-n", required=True, type=float, dest="lam_n")
-    sp.add_argument("--lambda-prime", required=True, type=float, dest="lam_prime")
-    sp.add_argument("--stop", required=True)
+    sp.add_argument("--lambda-n", required=True, type=_numeric("--lambda-n", _rate), dest="lam_n")
+    sp.add_argument("--lambda-prime", required=True, type=_numeric("--lambda-prime", _rate), dest="lam_prime")
+    sp.add_argument("--stop", required=True, type=_numeric("--stop", int, many=True))
 
-    sp = sub.add_parser("gen-tree", help="emit a random scenario tree")
-    sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--depth", type=int, default=3)
-    sp.add_argument("--branching", type=int, default=2)
+    sp = command("gen-tree", _cmd_gen_tree, "emit a random scenario tree")
+    for flag, default in (("--seed", 1), ("--depth", 3), ("--branching", 2)):
+        sp.add_argument(flag, default=default, type=_numeric(flag, int))
     sp.add_argument("--allow-arbitrage", action="store_true")
-    sp.add_argument("--format", default="json", choices=["json"], dest="fmt")
-    sp.add_argument("--output", default=None)
+    io_flags(sp, ("json",))
 
-    sp = sub.add_parser("report", help="re-render a saved report")
+    sp = command("report", _cmd_report, "re-render a saved report")
     sp.add_argument("--input", required=True, dest="input_path")
-    sp.add_argument("--format", default="text", choices=["json", "csv", "text"], dest="fmt")
-    sp.add_argument("--output", default=None)
+    io_flags(sp)
     return p
 
 
-def _number(flag: str, text: str, kind=float):
-    try:
-        return kind(text)
-    except ValueError as exc:
-        raise ParseError(f"{flag} expects a number, got {text!r}") from exc
-
-
-def _parse_float_list(flag: str, text: str) -> tuple[float, ...]:
-    if not text:
-        return ()
-    return tuple(_number(flag, v) for v in str(text).split(","))
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for key in (
-        "tree_path claim_path strategy_path cps_path cps_global_path input_path "
-        "claim_expr bound_kind mode output fmt lam_prime lam_n seed depth branching"
-    ).split():
-        if hasattr(args, key):
-            setattr(cfg, key, getattr(args, key))
-    if hasattr(args, "lambdas"):
-        cfg.lambdas = _parse_float_list("--lambda", args.lambdas)
-        if not cfg.lambdas:
-            raise ParseError("--lambda needs at least one value")
-    if hasattr(args, "check_lambdas"):
-        cfg.check_lambdas = _parse_float_list("--check-lambdas", args.check_lambdas)
-    if hasattr(args, "cap"):
-        raw = str(args.cap)
-        cfg.cap = math.inf if raw == "inf" else _number("--cap", raw)
-        if cfg.cap < 0 or math.isnan(cfg.cap):
-            raise ParseError(f"--cap must be a nonnegative number or 'inf', got {raw}")
-    if hasattr(args, "stop"):
-        cfg.stop = tuple(_number("--stop", v, int) for v in str(args.stop).split(",") if v != "")
-    if hasattr(args, "allow_arbitrage"):
-        cfg.straddle = not args.allow_arbitrage
-    return cfg
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        cfg = _config_from_args(args)
+        args = _build_parser().parse_args(argv)
         try:
-            return run(cfg)
+            return args.handler(args)
         except DualInfeasible as exc:
-            return _finding(cfg, "dual_infeasible", str(exc))
+            return _finding(args, "dual_infeasible", str(exc))
         except (CertificateFailure, UnverifiedInput, PreconditionViolated) as exc:
-            return _finding(cfg, "certificate_failure", str(exc))
-    except (ParseError, ValidationError, ShapeMismatch, BadFriction, BadFrictionGap) as exc:
-        sys.stderr.write(f"spreadhedge: {exc}\n")
-        return 1
+            return _finding(args, "certificate_failure", str(exc))
+    except SystemExit as exc:  # argparse: usage errors and --help
+        return int(exc.code or 0)
     except OSError as exc:
         sys.stderr.write(f"spreadhedge: io error: {exc}\n")
         return 1

@@ -31,7 +31,7 @@ from .errors import (
     UnverifiedInput,
     ValidationError,
 )
-from .scenario_tree import ClaimSpec, ScenarioTree, _stop_ids
+from .scenario_tree import ClaimSpec, ScenarioTree, _number, _stop_ids
 from .strategy import PortfolioPath, Strategy, _rate, portfolio_path
 
 __all__ = [
@@ -126,9 +126,9 @@ class ConsistentPriceSystem:
     @classmethod
     def from_json(cls, tree: ScenarioTree, obj: dict) -> "ConsistentPriceSystem":
         try:
-            z0 = {int(k): float(v) for k, v in obj["z0"].items()}
-            z1 = {int(k): float(v) for k, v in obj["z1"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
+            z0 = {int(k): _number(v, f"z0 at node {k}") for k, v in obj["z0"].items()}
+            z1 = {int(k): _number(v, f"z1 at node {k}") for k, v in obj["z1"].items()}
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad price-system document: {exc}") from exc
         return cls.from_maps(tree, z0, z1)
 

@@ -312,9 +312,9 @@ class ClaimSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "ClaimSpec":
         try:
-            payoffs = {int(k): float(v) for k, v in obj["payoffs"].items()}
+            payoffs = {int(k): _number(v, f"payoff of leaf {k}") for k, v in obj["payoffs"].items()}
             kind = obj.get("bound", "constant")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad claim document: {exc}") from exc
         return cls(payoffs, kind)
 
@@ -344,6 +344,13 @@ def _int64(value) -> int:
     return value
 
 
+def _number(value, field: str) -> float:
+    """A JSON number (``int`` or ``float``, not ``bool`` or ``str``) as a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"{field} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def load_tree(source) -> ScenarioTree:
     """Parse and validate a tree from its JSON form.
 
@@ -355,8 +362,9 @@ def load_tree(source) -> ScenarioTree:
     Raises
     ------
     ParseError
-        Malformed JSON, missing fields, or an ``id``, ``parent``, ``time``
-        or ``depth`` that is not an integer fitting in 64 bits.
+        Malformed JSON, missing fields, an ``id``, ``parent``, ``time`` or
+        ``depth`` that is not an integer fitting in 64 bits, or a ``prob`` or
+        ``price`` that is not a JSON number.
     ValidationError
         Structurally invalid tree; the message names the offending node.
     """
@@ -378,14 +386,26 @@ def load_tree(source) -> ScenarioTree:
             ids.append(_int64(item["id"]))
             parent.append(-1 if item["parent"] is None else _int64(item["parent"]))
             time.append(_int64(item["time"]))
-            prob.append(float(item["prob"]))
-            price.append(float(item["price"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            prob.append(item["prob"])
+            price.append(item["price"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"nodes[{k}] is malformed: {exc}") from exc
     try:
         depth = _int64(obj["depth"])
     except (TypeError, ValueError) as exc:
         raise ParseError(f'bad "depth": {exc}') from exc
+    try:
+        # one type test per column; the per-node parse below only names the culprit
+        if not {type(v) for v in prob} | {type(v) for v in price} <= {int, float}:
+            raise TypeError
+        prob, price = np.array(prob, dtype=float), np.array(price, dtype=float)
+    except (TypeError, OverflowError):
+        for k, item in enumerate(raw_nodes):
+            try:
+                _number(item["prob"], "prob"), _number(item["price"], "price")
+            except (TypeError, OverflowError) as exc:
+                raise ParseError(f"nodes[{k}] is malformed: {exc}") from exc
+        raise  # not reached: _number rejects what the type test and the conversion reject
     if sorted(ids) != list(range(len(ids))):
         raise ValidationError("node ids are not dense 0..node_count-1")
     by_id = np.argsort(ids)

@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .scenario_tree import ScenarioTree, _stop_ids
+from .scenario_tree import ScenarioTree, _number, _stop_ids
 
 __all__ = [
     "TransactionCosts",
@@ -76,6 +76,8 @@ class Strategy:
     ``buy``/``sell`` are share counts, ``consume`` is bonds burned at the
     node; all three are expected nonnegative for a self-financing strategy
     (``is_self_financing`` reports violations instead of assuming them).
+    Every entry, ``initial`` included, must be finite: NaN passes every
+    comparison the checks make.
     """
 
     initial: tuple[float, float]
@@ -89,9 +91,15 @@ class Strategy:
         consume = np.asarray(self.consume, dtype=float)
         if not (buy.shape == sell.shape == consume.shape) or buy.ndim != 1:
             raise ShapeMismatch("buy/sell/consume must be equal-length vectors")
+        initial = (float(self.initial[0]), float(self.initial[1]))
+        parts = {"initial": np.array(initial), "buy": buy, "sell": sell, "consume": consume}
+        for name, arr in parts.items():
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                raise ValidationError(f"strategy {name}[{bad[0]}] is {arr[bad[0]]}, not finite")
         for arr in (buy, sell, consume):
             arr.setflags(write=False)
-        object.__setattr__(self, "initial", (float(self.initial[0]), float(self.initial[1])))
+        object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "buy", buy)
         object.__setattr__(self, "sell", sell)
         object.__setattr__(self, "consume", consume)
@@ -137,12 +145,12 @@ class Strategy:
     @classmethod
     def from_json(cls, tree: ScenarioTree, obj: dict) -> "Strategy":
         try:
-            initial = (float(obj["initial"][0]), float(obj["initial"][1]))
+            initial = tuple(_number(obj["initial"][i], f"initial[{i}]") for i in (0, 1))
             trades = {
-                int(k): {kk: float(vv) for kk, vv in v.items()}
+                int(k): {kk: _number(vv, f"{kk} at node {k}") for kk, vv in v.items()}
                 for k, v in obj.get("trades", {}).items()
             }
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise ParseError(f"bad strategy document: {exc}") from exc
         return cls.from_trades(tree, trades, initial)
 

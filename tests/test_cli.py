@@ -585,11 +585,59 @@ class TestGenerationAndReport:
             ("--check-lambdas", price + ["--lambda", "0.1", "--check-lambdas", "0.1,abc"]),
             ("--cap", price + ["--lambda", "0.1", "--cap", "abc"]),
             ("--stop", concat + ["--stop", "0,abc"]),
+            ("--lambda-n", concat + ["--stop", "0", "--lambda-n", "abc"]),
+            ("--lambda-prime", concat + ["--stop", "0", "--lambda-prime", "abc"]),
+            ("--seed", ["gen-tree", "--seed", "abc"]),
+            ("--depth", ["gen-tree", "--depth", "abc"]),
+            ("--branching", ["gen-tree", "--branching", "abc"]),
         ):
             assert main(argv) == 1, flag
             err = capsys.readouterr().err
-            assert err.startswith("spreadhedge:"), (flag, err)
-            assert flag in err and "'abc'" in err, (flag, err)
+            assert err == f"spreadhedge: {flag} expects a number, got 'abc'\n", (flag, err)
+        assert main(price + ["--lambda", ""]) == 1
+        assert capsys.readouterr().err == "spreadhedge: --lambda needs at least one value\n"
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("tree", B1_JSON.replace('"price": 80.0', '"price": "80"')),
+            ("claim", '{"payoffs": {"1": "20", "2": false}}'),
+            ("strategy", '{"initial": [0, 0], "trades": {"0": {"buy": NaN, "sell": 0, "consume": 0}}}'),
+        ],
+        ids=["tree-price-str", "claim-str-false", "strategy-nan"],
+    )
+    def test_non_number_document_is_input_error(self, files, capsys, name, text):
+        # each used to be accepted with exit 0: the strings and false as their
+        # float() values, and the NaN trade as self-financing and admissible
+        (files / "bad.json").write_text(text)
+        argv = {
+            "tree": ["price", "--tree", "bad.json", "--claim", "call.json"],
+            "claim": ["price", "--tree", "b1.json", "--claim", "bad.json"],
+            "strategy": ["check-strategy", "--tree", "b1.json", "--strategy", "bad.json", "--cap", "1"],
+        }[name]
+        argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+        assert main(argv + ["--lambda", "0.1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spreadhedge: ") and ("JSON number" in err or "not finite" in err), err
+
+    @pytest.mark.parametrize(
+        "fmt, edit",
+        [
+            ("text", lambda doc: [{"certificates": {"cps": True}}]),
+            ("csv", lambda doc: {**doc, "gap": "small"}),
+            ("text", lambda doc: {**doc, "gap": "small"}),
+            ("text", lambda doc: {**doc, "cps_feasibility_grid": [0.02]}),
+        ],
+        ids=["no-lambda", "gap-str-csv", "gap-str-text", "grid-list"],
+    )
+    def test_malformed_saved_report_is_input_error(self, files, capsys, fmt, edit):
+        # each used to escape main: KeyError, ValueError, AttributeError
+        saved = files / "saved.json"
+        price = ["price", "--tree", str(files / "b1.json"), "--claim", str(files / "call.json")]
+        assert main(price + ["--lambda", "0.1", "--format", "json", "--output", str(saved)]) == 0
+        saved.write_text(json.dumps(edit(json.loads(saved.read_text()))))
+        assert main(["report", "--input", str(saved), "--format", fmt]) == 1
+        assert capsys.readouterr().err.startswith("spreadhedge: ")
 
     def test_report_without_certificates_rejected(self, tmp_path):
         from spreadhedge import ValidationError

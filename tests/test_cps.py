@@ -10,6 +10,7 @@ from spreadhedge import (
     ClaimSpec,
     ConsistentPriceSystem,
     MismatchedTrees,
+    ParseError,
     PreconditionViolated,
     ShapeMismatch,
     Strategy,
@@ -82,6 +83,12 @@ class TestVerify:
         back = ConsistentPriceSystem.from_json(b1, cps_b1.to_json())
         assert np.allclose(back.z0, cps_b1.z0)
         assert np.allclose(back.z1, cps_b1.z1)
+
+    def test_non_number_entry_is_parse_error(self, b1, cps_b1):
+        doc = cps_b1.to_json()
+        doc["z1"]["2"] = str(doc["z1"]["2"])
+        with pytest.raises(ParseError, match=r"^bad price-system document: z1 at node 2 must be a JSON number"):
+            ConsistentPriceSystem.from_json(b1, doc)
 
 
 class TestShadowPrice:

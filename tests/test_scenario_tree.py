@@ -188,6 +188,15 @@ class TestValidationRules:
         with pytest.raises(ParseError, match="^bad \"depth\""):
             load_tree(_edited_b1(lambda doc, nodes: doc.update(depth=float("inf"))))
 
+    @pytest.mark.parametrize(
+        "field, value", [("price", "100"), ("prob", True), ("price", 10**400)]
+    )
+    def test_non_number_field_is_parse_error(self, field, value):
+        # a string or boolean used to load as its float() value; an int beyond
+        # the float range never loaded, and must not escape the bulk conversion
+        with pytest.raises(ParseError, match=r"^nodes\[2\] is malformed"):
+            load_tree(_edited_b1(_set(2, **{field: value})))
+
 
 class TestArrays:
     def test_constructor_copies_and_freezes_its_arrays(self):
@@ -420,3 +429,8 @@ class TestClaimSpec:
 
     def test_round_trip(self, c1):
         assert ClaimSpec.from_json(c1.to_json()) == c1
+
+    @pytest.mark.parametrize("payoffs", [{"1": "20", "2": 0}, {"1": 20, "2": False}])
+    def test_non_number_payoff_is_parse_error(self, payoffs):
+        with pytest.raises(ParseError, match="must be a JSON number"):
+            ClaimSpec.from_json({"payoffs": payoffs})

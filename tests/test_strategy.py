@@ -7,9 +7,11 @@ from spreadhedge import (
     AdmissibilityCap,
     BadFriction,
     NotAnAntichain,
+    ParseError,
     ShapeMismatch,
     Strategy,
     TransactionCosts,
+    ValidationError,
     check_admissibility,
     generate_random_tree,
     is_self_financing,
@@ -121,6 +123,23 @@ class TestHoldings:
         assert np.allclose(back.buy, c1_hedge.buy)
         assert np.allclose(back.sell, c1_hedge.sell)
         assert back.initial == c1_hedge.initial
+
+    @pytest.mark.parametrize("name", ["initial", "buy", "sell", "consume"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, name, bad):
+        # NaN passes every comparison the self-financing and admissibility checks make
+        parts = {"initial": [0.0, 0.0], "buy": np.zeros(3), "sell": np.zeros(3), "consume": np.zeros(3)}
+        parts[name][1] = bad
+        with pytest.raises(ValidationError, match=rf"^strategy {name}\[1\] is"):
+            Strategy(**parts)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"initial": ["1", 0], "trades": {}}, {"initial": [0, 0], "trades": {"1": {"sell": True}}}],
+    )
+    def test_non_number_entry_is_parse_error(self, b1, doc):
+        with pytest.raises(ParseError, match="must be a JSON number"):
+            Strategy.from_json(b1, doc)
 
 
 class TestLiquidation:
