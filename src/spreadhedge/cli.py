@@ -368,7 +368,7 @@ def _cmd_price(args: argparse.Namespace) -> int:
 def _cmd_dual(args: argparse.Namespace) -> int:
     tree = _load_tree(args.tree_path)
     claim = _load_claim(args, tree)
-    lam = args.lambdas[0]
+    lam = args.lam
     report = superhedge_price(tree, lam, claim)
     if not report.certificates["cps"]:
         return _finding(args, "certificate_failure", "optimal price system fails verification")
@@ -386,8 +386,7 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 def _cmd_verify_cps(args: argparse.Namespace) -> int:
     tree = _load_tree(args.tree_path)
     cps = ConsistentPriceSystem.from_json(tree, _read_json(args.cps_path))
-    lam = args.lambdas[0]
-    check = verify_cps(tree, lam, cps)
+    check = verify_cps(tree, args.lam, cps)
     lines = ["family            worst-residual  witness-node"]
     for fam in sorted(check.worst):
         lines.append(f"{fam:18s}{check.worst[fam]:.3e}       {check.witness[fam]}")
@@ -399,7 +398,7 @@ def _cmd_verify_cps(args: argparse.Namespace) -> int:
 def _cmd_check_strategy(args: argparse.Namespace) -> int:
     tree = _load_tree(args.tree_path)
     strat = Strategy.from_json(tree, _read_json(args.strategy_path))
-    lam = args.lambdas[0]
+    lam = args.lam
     sf = is_self_financing(tree, lam, strat)
     values = liquidation_values(tree, lam, strat)
     adm = _admissibility(tree, values, _cap(args))
@@ -431,7 +430,7 @@ def _cmd_variation_bound(args: argparse.Namespace) -> int:
     strat = Strategy.from_json(tree, _read_json(args.strategy_path))
     cps = ConsistentPriceSystem.from_json(tree, _read_json(args.cps_path))
     check = variation_bound_check(
-        tree, args.lambdas[0], args.lam_prime, strat, cps, args.cap
+        tree, args.lam, args.lam_prime, strat, cps, args.cap
     )
     payload = {"lhs": check.lhs, "rhs": check.rhs, "ok": check.ok}
     body = f"lhs {check.lhs!r}\nrhs {check.rhs!r}\nok  {str(check.ok).lower()}\n"
@@ -444,7 +443,7 @@ def _cmd_concat_cps(args: argparse.Namespace) -> int:
     glob = ConsistentPriceSystem.from_json(tree, _read_json(args.cps_global_path))
     try:
         out = concatenate_cps(
-            tree, args.lambdas[0], args.lam_n, args.lam_prime, set(args.stop), local, glob
+            tree, args.lam, args.lam_n, args.lam_prime, set(args.stop), local, glob
         )
     except UnverifiedInput as exc:
         return _finding(args, "cps_invalid", str(exc))
@@ -517,6 +516,18 @@ def _lambdas(text: str) -> tuple[float, ...]:
     return _numeric("--lambda", _rate, many=True)(text)
 
 
+def _one_lambda(command: str):
+    """``--lambda`` of a command that checks at one friction level."""
+
+    def convert(text: str) -> float:
+        lams = _lambdas(text)
+        if len(lams) > 1:
+            raise ParseError(f"--lambda takes one value for {command}")
+        return lams[0]
+
+    return convert
+
+
 def _cap_bound(text: str) -> float:
     cap = float(text)  # "inf" included
     if not cap >= 0.0:
@@ -540,7 +551,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def priced(name, handler, summary):
         sp = command(name, handler, summary)
         sp.add_argument("--tree", required=True, dest="tree_path")
-        sp.add_argument("--lambda", required=True, type=_lambdas, dest="lambdas")
+        if name == "price":  # a curve: one report per friction level
+            sp.add_argument("--lambda", required=True, type=_lambdas, dest="lambdas")
+        else:
+            sp.add_argument("--lambda", required=True, type=_one_lambda(name), dest="lam")
         io_flags(sp)
         return sp
 

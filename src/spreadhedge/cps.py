@@ -437,6 +437,10 @@ def random_cps(
 
     With ``stop`` given, the construction halts at the stopping time and the
     result lives on the truncated market.
+
+    The branch points of one time step are extended together (``_extend``),
+    with the weights of the whole step drawn in node id order.  The output
+    is the same, bit for bit, as extending one branch point at a time.
     """
     lam = _rate(lam)
     rng = np.random.default_rng(int(seed))
@@ -448,83 +452,39 @@ def random_cps(
     shadow = np.full(n, np.nan)
     z0 = np.zeros(n)
 
-    def interior(lo: float, hi: float) -> float:
-        if hi <= lo:
-            return lo
-        u = rng.uniform(0.15, 0.85)
-        return lo + u * (hi - lo)
-
-    shadow[0] = interior((1.0 - lam) * S[0], S[0])
+    lo, hi = (1.0 - lam) * S[0], S[0]
+    shadow[0] = lo if hi <= lo else lo + rng.uniform(0.15, 0.85) * (hi - lo)
     z0[0] = 1.0
-    for i in tree.order:
-        if above[i] >= 0 or not tree.children[i]:
-            continue
-        kids = np.array(tree.children[i], dtype=np.int64)
-        lo = (1.0 - lam) * S[kids]
-        hi = S[kids]
-        target = shadow[i]
-        k = kids.size
-        c_min = int(np.argmin(lo))
-        c_max = int(np.argmax(hi))
-        if not (lo[c_min] <= target <= hi[c_max]):
-            raise ValidationError(
-                f"cannot extend shadow price {target} through node {i}: "
-                f"children reach only [{lo[c_min]}, {hi[c_max]}]"
-            )
-        rest = rng.uniform(0.2, 1.0, size=k)
-        rest /= rest.sum()
-        q = None
-        if lam == 0.0:
-            # frictionless spread is a point: solve the expectation identity exactly
-            s_lo, s_hi = S[kids[c_min]], S[kids[c_max]]
-            rest_mean = float(rest @ S[kids])
-            if abs(s_hi - s_lo) <= 1e-14 * max(1.0, s_hi):
-                if abs(rest_mean - target) <= 1e-12 * max(1.0, abs(target)):
-                    q = rest
-            else:
-                eps = 0.25
-                for _ in range(80):
-                    t_anchor = (target - eps * rest_mean) / (1.0 - eps)
-                    mu = (t_anchor - s_hi) / (s_lo - s_hi)
-                    if 0.0 < mu < 1.0:
-                        anchor = np.zeros(k)
-                        anchor[c_min] += mu
-                        anchor[c_max] += 1.0 - mu
-                        q = (1.0 - eps) * anchor + eps * rest
-                        break
-                    eps *= 0.5
-        else:
-            # weight window on the low-price anchor: above mu1 the low mix
-            # stays below the target, below mu2 the high mix stays above
-            lo_at_cmax, hi_at_cmin = lo[c_max], hi[c_min]
-            mu2 = 1.0 if hi_at_cmin >= target else (
-                (hi[c_max] - target) / (hi[c_max] - hi_at_cmin)
-            )
-            mu1 = 0.0 if lo_at_cmax <= target else (
-                (lo_at_cmax - target) / (lo_at_cmax - lo[c_min])
-            )
-            mu = 0.5 * (mu1 + mu2)  # the window [mu1, mu2] is never empty
-            anchor = np.zeros(k)
-            anchor[c_min] += mu
-            anchor[c_max] += 1.0 - mu
-            eps = 0.25
-            for _ in range(80):
-                cand = (1.0 - eps) * anchor + eps * rest
-                if float(cand @ lo) <= target <= float(cand @ hi):
-                    q = cand
-                    break
-                eps *= 0.5
-        if q is None:
+    n_kids = np.bincount(tree.parent[1:], minlength=n)
+    first_kid = np.cumsum(n_kids) - n_kids
+    by_parent = np.argsort(tree.parent[1:], kind="stable") + 1  # children in id order
+    for lvl in tree.levels[:-1]:
+        nodes = lvl[above[lvl] < 0]  # branch points before the stop fires
+        if not nodes.size:
+            break
+        k_of = n_kids[nodes]
+        draws = rng.uniform(0.2, 1.0, size=int(k_of.sum()))
+        offset = np.cumsum(k_of) - k_of
+        found = np.empty(nodes.size, dtype=bool)
+        for k in np.unique(k_of).tolist():
+            rows = np.flatnonzero(k_of == k)
+            i = nodes[rows]
+            cols = np.arange(k)
+            kids = by_parent[first_kid[i, None] + cols]
+            q, child_shadow = _extend(lam, shadow[i], S[kids], draws[offset[rows, None] + cols])
+            found[rows] = ~np.isnan(q[:, 0])
+            shadow[kids] = child_shadow
+            z0[kids] = z0[i, None] * q / tree.cond_prob[kids]
+        if not found.all():
+            i = nodes[np.argmin(found)]
+            kids = np.array(tree.children[i])
+            lo, hi, target = ((1.0 - lam) * S[kids]).min(), S[kids].max(), shadow[i]
+            if not (lo <= target <= hi):
+                raise ValidationError(
+                    f"cannot extend shadow price {target} through node {i}: "
+                    f"children reach only [{lo}, {hi}]"
+                )
             raise ValidationError(f"shadow-price extension failed at node {i}")
-        span = float(q @ (hi - lo))
-        if span <= 1e-14 * max(1.0, abs(target)):
-            child_shadow = S[kids].astype(float)
-        else:
-            theta = min(1.0, max(0.0, (target - float(q @ lo)) / span))
-            child_shadow = lo + theta * (hi - lo)
-        q = q / q.sum()
-        shadow[kids] = child_shadow
-        z0[kids] = z0[i] * q / tree.cond_prob[kids]
 
     mask = required
     shadow = np.where(np.isnan(shadow), S, shadow)
@@ -534,3 +494,82 @@ def random_cps(
     if not check:
         raise CertificateFailure(f"random system failed verification: {check.worst}")
     return out
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two C-contiguous ``(m, k)`` blocks, each by the
+    kernel of a 1-D ``a[r] @ b[r]``; ``(a * b).sum(1)`` rounds differently."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _extend(lam: float, target: np.ndarray, S: np.ndarray, draws: np.ndarray):
+    """Q-weights and child shadow prices for ``m`` branch points of ``k``
+    children each, shadow prices ``target`` ``(m,)``, child prices ``S`` and
+    raw weights ``draws`` ``(m, k)``.
+
+    Returns ``(q, child_shadow)``, both ``(m, k)``; ``q`` is NaN on the rows
+    where the children cannot carry the target.  Row sums are
+    ``sum(axis=1)`` of a C-contiguous block, which numpy reduces row by row
+    like a 1-D sum.
+    """
+    m, k = S.shape
+    r = np.arange(m)
+    lo, hi = (1.0 - lam) * S, S
+    c_min, c_max = lo.argmin(axis=1), hi.argmax(axis=1)
+    lo_min, hi_max = lo[r, c_min], hi[r, c_max]
+    rest = draws / draws.sum(axis=1, keepdims=True)
+    q = np.full((m, k), np.nan)
+    open_ = (lo_min <= target) & (target <= hi_max)
+
+    def anchored(rows, mu):
+        # weight mu on the cheapest child and 1 - mu on the dearest
+        a = np.zeros((rows.size, k))
+        a[np.arange(rows.size), c_min[rows]] += mu
+        a[np.arange(rows.size), c_max[rows]] += 1.0 - mu
+        return a
+
+    if lam == 0.0:
+        # frictionless spread is a point: solve the expectation identity exactly
+        s_lo, s_hi = hi[r, c_min], hi_max
+        rest_mean = _rowdot(rest, hi)
+        flat = np.abs(s_hi - s_lo) <= 1e-14 * np.maximum(1.0, s_hi)
+        exact = np.abs(rest_mean - target) <= 1e-12 * np.maximum(1.0, np.abs(target))
+        hit = open_ & flat & exact
+        q[hit] = rest[hit]
+        open_ &= ~flat
+        eps = 0.25
+        for _ in range(80):
+            o = np.flatnonzero(open_)
+            if not o.size:
+                break
+            t_anchor = (target[o] - eps * rest_mean[o]) / (1.0 - eps)
+            mu = (t_anchor - s_hi[o]) / (s_lo[o] - s_hi[o])
+            got = (0.0 < mu) & (mu < 1.0)
+            o = o[got]
+            q[o] = (1.0 - eps) * anchored(o, mu[got]) + eps * rest[o]
+            open_[o] = False
+            eps *= 0.5
+    else:
+        # weight window on the low-price anchor: above mu1 the low mix
+        # stays below the target, below mu2 the high mix stays above
+        lo_at_cmax, hi_at_cmin = lo[r, c_max], hi[r, c_min]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mu2 = np.where(hi_at_cmin >= target, 1.0, (hi_max - target) / (hi_max - hi_at_cmin))
+            mu1 = np.where(lo_at_cmax <= target, 0.0, (lo_at_cmax - target) / (lo_at_cmax - lo_min))
+        anchor = anchored(r, 0.5 * (mu1 + mu2))  # the window [mu1, mu2] is never empty
+        eps = 0.25
+        for _ in range(80):
+            o = np.flatnonzero(open_)
+            if not o.size:
+                break
+            cand = (1.0 - eps) * anchor[o] + eps * rest[o]
+            got = (_rowdot(cand, lo[o]) <= target[o]) & (target[o] <= _rowdot(cand, hi[o]))
+            q[o[got]] = cand[got]
+            open_[o[got]] = False
+            eps *= 0.5
+    span = _rowdot(q, hi - lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = np.minimum(1.0, np.maximum(0.0, (target - _rowdot(q, lo)) / span))
+    point = span <= 1e-14 * np.maximum(1.0, np.abs(target))
+    child_shadow = np.where(point[:, None], hi, lo + theta[:, None] * (hi - lo))
+    return q / q.sum(axis=1, keepdims=True), child_shadow

@@ -378,24 +378,35 @@ def load_tree(source) -> ScenarioTree:
     raw_nodes = obj["nodes"]
     if not isinstance(raw_nodes, list):
         raise ParseError('"nodes" must be a list')
-    ids, parent, time, prob, price = [], [], [], [], []
-    for k, item in enumerate(raw_nodes):
-        if not isinstance(item, dict):
-            raise ParseError(f"nodes[{k}] is not an object")
-        try:
-            ids.append(_int64(item["id"]))
-            parent.append(-1 if item["parent"] is None else _int64(item["parent"]))
-            time.append(_int64(item["time"]))
-            prob.append(item["prob"])
-            price.append(item["price"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"nodes[{k}] is malformed: {exc}") from exc
+    try:
+        # one type test per column, as for prob and price below; the walk only names the culprit
+        if not all(isinstance(item, dict) for item in raw_nodes):
+            raise TypeError
+        ids, parent, time, prob, price = (
+            [item[f] for item in raw_nodes] for f in ("id", "parent", "time", "prob", "price")
+        )
+        parent = [-1 if p is None else p for p in parent]
+        if not {type(v) for col in (ids, parent, time) for v in col} <= {int}:
+            raise TypeError
+        ids, parent, time = (np.array(col, dtype=np.int64) for col in (ids, parent, time))
+    except (KeyError, TypeError, OverflowError):
+        for k, item in enumerate(raw_nodes):
+            if not isinstance(item, dict):
+                raise ParseError(f"nodes[{k}] is not an object") from None
+            try:
+                _int64(item["id"])
+                if item["parent"] is not None:
+                    _int64(item["parent"])
+                _int64(item["time"])
+                item["prob"], item["price"]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"nodes[{k}] is malformed: {exc}") from exc
+        raise  # not reached: the walk rejects what the column tests reject
     try:
         depth = _int64(obj["depth"])
     except (TypeError, ValueError) as exc:
         raise ParseError(f'bad "depth": {exc}') from exc
     try:
-        # one type test per column; the per-node parse below only names the culprit
         if not {type(v) for v in prob} | {type(v) for v in price} <= {int, float}:
             raise TypeError
         prob, price = np.array(prob, dtype=float), np.array(price, dtype=float)
@@ -406,10 +417,16 @@ def load_tree(source) -> ScenarioTree:
             except (TypeError, OverflowError) as exc:
                 raise ParseError(f"nodes[{k}] is malformed: {exc}") from exc
         raise  # not reached: _number rejects what the type test and the conversion reject
-    if sorted(ids) != list(range(len(ids))):
+    if not np.array_equal(np.sort(ids), np.arange(ids.size)):
         raise ValidationError("node ids are not dense 0..node_count-1")
     by_id = np.argsort(ids)
-    return ScenarioTree(*(np.asarray(col)[by_id] for col in (parent, time, prob, price)), depth)
+    return ScenarioTree(*(col[by_id] for col in (parent, time, prob, price)), depth)
+
+
+_NODE_JSON = (
+    '    {\n      "id": %d,\n      "parent": %s,\n      "time": %d,\n'
+    '      "prob": %r,\n      "price": %r\n    }'
+)
 
 
 def dumps_tree(tree: ScenarioTree) -> str:
@@ -418,23 +435,15 @@ def dumps_tree(tree: ScenarioTree) -> str:
     The root's parent is written as ``null``.  ``dumps_tree(load_tree(x))`` is
     idempotent byte-for-byte.
     """
-    columns = zip(
-        tree.parent.tolist(), tree.time.tolist(), tree.cond_prob.tolist(), tree.price.tolist()
+    parents = tree.parent.tolist()
+    parents[0] = "null"  # the root, the only node without a parent
+    rows = zip(
+        range(tree.node_count), parents, tree.time.tolist(), tree.cond_prob.tolist(), tree.price.tolist()
     )
-    doc = {
-        "depth": tree.depth,
-        "nodes": [
-            {
-                "id": i,
-                "parent": None if p < 0 else p,
-                "time": t,
-                "prob": q,
-                "price": s,
-            }
-            for i, (p, t, q, s) in enumerate(columns)
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    # %r of a float is what json writes for a finite one, and every price and
+    # probability is finite: the bytes are json.dumps(doc, indent=2)
+    nodes = ",\n".join([_NODE_JSON % row for row in rows])
+    return f'{{\n  "depth": {tree.depth},\n  "nodes": [\n{nodes}\n  ]\n}}\n'
 
 
 # ---------------------------------------------------------------------------

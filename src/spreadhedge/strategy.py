@@ -86,9 +86,10 @@ class Strategy:
     consume: np.ndarray
 
     def __post_init__(self):
-        buy = np.asarray(self.buy, dtype=float)
-        sell = np.asarray(self.sell, dtype=float)
-        consume = np.asarray(self.consume, dtype=float)
+        # copies: freezing the caller's arrays would make them read-only too
+        buy = np.array(self.buy, dtype=float)
+        sell = np.array(self.sell, dtype=float)
+        consume = np.array(self.consume, dtype=float)
         if not (buy.shape == sell.shape == consume.shape) or buy.ndim != 1:
             raise ShapeMismatch("buy/sell/consume must be equal-length vectors")
         initial = (float(self.initial[0]), float(self.initial[1]))
@@ -120,11 +121,16 @@ class Strategy:
         trades: Mapping[int, Mapping[str, float]],
         initial=(0.0, 0.0),
     ) -> "Strategy":
-        """Build from a sparse trade map; omitted nodes trade nothing."""
+        """Build from a sparse trade map; omitted nodes trade nothing.  A trade
+        key other than ``buy``, ``sell`` and ``consume`` is a ``ParseError``:
+        a misspelt key would otherwise read as no trade."""
         n = tree.node_count
         buy, sell, consume = np.zeros(n), np.zeros(n), np.zeros(n)
         for node, t in trades.items():
             node = tree.check_node(int(node))
+            for key in t:
+                if key not in ("buy", "sell", "consume"):
+                    raise ParseError(f"unknown trade key {key!r} at node {node}")
             buy[node] = float(t.get("buy", 0.0))
             sell[node] = float(t.get("sell", 0.0))
             consume[node] = float(t.get("consume", 0.0))

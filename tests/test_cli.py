@@ -620,6 +620,43 @@ class TestGenerationAndReport:
         err = capsys.readouterr().err
         assert err.startswith("spreadhedge: ") and ("JSON number" in err or "not finite" in err), err
 
+    def test_unknown_trade_key_is_input_error(self, files, capsys):
+        # used to be certified as no trade with exit 0
+        (files / "typo.json").write_text('{"initial": [0, 0], "trades": {"0": {"by": 1.0}}}')
+        argv = [
+            "check-strategy", "--tree", str(files / "b1.json"),
+            "--strategy", str(files / "typo.json"), "--lambda", "0.1",
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "spreadhedge: unknown trade key 'by' at node 0\n"
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("dual", ["--claim", "call.json"]),
+            ("verify-cps", ["--cps", "z.json"]),
+            ("check-strategy", ["--strategy", "hedge.json"]),
+            (
+                "variation-bound",
+                ["--strategy", "hedge.json", "--cps", "z.json", "--lambda-prime", "0.05", "--cap", "1"],
+            ),
+            (
+                "concat-cps",
+                ["--cps", "z.json", "--cps-global", "z.json", "--lambda-n", "0.01",
+                 "--lambda-prime", "0.02", "--stop", "0"],
+            ),
+        ],
+    )
+    def test_lambda_list_for_a_one_lambda_command_is_input_error(self, files, capsys, command, flags):
+        # the values after the first used to be dropped with exit 0
+        flags = [str(files / f) if f.endswith(".json") else f for f in flags]
+        argv = [command, "--tree", str(files / "b1.json"), *flags]
+        assert main(argv + ["--lambda", "0.1,0.2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"spreadhedge: --lambda takes one value for {command}\n"
+        assert captured.out == ""
+        assert main(argv + ["--lambda", "0.1"]) in (0, 2)  # one value still runs
+
     @pytest.mark.parametrize(
         "fmt, edit",
         [

@@ -141,6 +141,20 @@ class TestHoldings:
         with pytest.raises(ParseError, match="must be a JSON number"):
             Strategy.from_json(b1, doc)
 
+    def test_unknown_trade_key_is_parse_error(self, b1):
+        # a misspelt key used to read as no trade, certified self-financing
+        with pytest.raises(ParseError, match="^unknown trade key 'by' at node 0$"):
+            Strategy.from_json(b1, {"initial": [0, 0], "trades": {"0": {"by": 1.0}}})
+        with pytest.raises(ParseError, match="^unknown trade key 'cosume' at node 2$"):
+            Strategy.from_trades(b1, {1: {"buy": 1.0}, 2: {"sell": 1.0, "cosume": 0.5}})
+
+    def test_caller_arrays_stay_writeable(self):
+        a = np.zeros(3)
+        strat = Strategy((0, 0), a, a, a)
+        a[0] = 1.0  # raised "assignment destination is read-only" when the arrays were shared
+        assert strat.buy.tolist() == [0.0, 0.0, 0.0]
+        assert not strat.buy.flags.writeable
+
 
 class TestLiquidation:
     def test_long_position_sells_at_bid(self):
