@@ -26,7 +26,6 @@ from .errors import (
     ValidationError,
 )
 from .scenario_tree import (
-    Antichain,
     ClaimSpec,
     PriceModel,
     ScenarioTree,
@@ -40,7 +39,6 @@ from .strategy import (
     AdmissibilityCap,
     PortfolioPath,
     Strategy,
-    TransactionCosts,
     check_admissibility,
     is_self_financing,
     liquidation_value,

@@ -199,8 +199,11 @@ def _load_tree(path: str) -> ScenarioTree:
 
 def _load_claim(args: argparse.Namespace, tree: ScenarioTree) -> ClaimSpec:
     if args.claim_expr is not None:
-        fn = parse_payoff_expr(args.claim_expr)
-        payoffs = {int(l): float(fn(float(tree.price[l]))) for l in tree.leaves}
+        try:  # the parser and the compiled expression both recurse
+            fn = parse_payoff_expr(args.claim_expr)
+            payoffs = {int(l): float(fn(float(tree.price[l]))) for l in tree.leaves}
+        except RecursionError:
+            raise ParseError("payoff expression nested too deeply") from None
         return ClaimSpec(payoffs, args.bound_kind)
     if args.claim_path is None:
         raise ParseError("a claim file or --claim-expr is required")

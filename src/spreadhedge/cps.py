@@ -31,7 +31,7 @@ from .errors import (
     UnverifiedInput,
     ValidationError,
 )
-from .scenario_tree import ClaimSpec, ScenarioTree, _number, _stop_ids
+from .scenario_tree import ClaimSpec, ScenarioTree, _number, _object, _stop_above
 from .strategy import PortfolioPath, Strategy, _rate, portfolio_path
 
 __all__ = [
@@ -53,27 +53,26 @@ CPS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ConsistentPriceSystem:
-    """Node-indexed martingale pair.  ``support`` marks the nodes the system
-    is defined on (``None`` means the whole tree); systems built for a market
-    truncated at a stopping time live on the truncated node set."""
+    """Node-indexed martingale pair.  ``support`` is always a boolean mask of
+    the nodes the system is defined on (``None`` in the constructor means the
+    whole tree); systems built for a market truncated at a stopping time live
+    on the truncated node set.  All three arrays are read-only copies."""
 
     z0: np.ndarray
     z1: np.ndarray
     support: np.ndarray | None = None
 
     def __post_init__(self):
-        z0 = np.asarray(self.z0, dtype=float)
-        z1 = np.asarray(self.z1, dtype=float)
+        # copies: freezing the caller's arrays would make them read-only too
+        z0 = np.array(self.z0, dtype=float)
+        z1 = np.array(self.z1, dtype=float)
         if z0.shape != z1.shape or z0.ndim != 1:
             raise ShapeMismatch("z0 and z1 must be equal-length vectors")
-        support = self.support
-        if support is not None:
-            support = np.asarray(support, dtype=bool)
-            if support.shape != z0.shape:
-                raise ShapeMismatch("support mask must match z0/z1")
-            support.setflags(write=False)
-        z0.setflags(write=False)
-        z1.setflags(write=False)
+        support = np.ones(z0.size, bool) if self.support is None else np.array(self.support, bool)
+        if support.shape != z0.shape:
+            raise ShapeMismatch("support mask must match z0/z1")
+        for arr in (z0, z1, support):
+            arr.setflags(write=False)
         object.__setattr__(self, "z0", z0)
         object.__setattr__(self, "z1", z1)
         object.__setattr__(self, "support", support)
@@ -82,15 +81,10 @@ class ConsistentPriceSystem:
     def node_count(self) -> int:
         return self.z0.size
 
-    def support_mask(self) -> np.ndarray:
-        if self.support is None:
-            return np.ones(self.node_count, dtype=bool)
-        return self.support
-
     @property
     def strict(self) -> bool:
         """True when the density component is positive on the whole support."""
-        return bool((self.z0[self.support_mask()] > 0.0).all())
+        return bool((self.z0[self.support] > 0.0).all())
 
     @classmethod
     def from_maps(
@@ -112,12 +106,10 @@ class ConsistentPriceSystem:
             a0[i] = float(z0[int(k)])
             a1[i] = float(z1[int(k)])
             mask[i] = True
-        support = None if mask.all() else mask
-        return cls(a0, a1, support)
+        return cls(a0, a1, mask)
 
     def to_json(self) -> dict:
-        mask = self.support_mask()
-        ids = np.flatnonzero(mask)
+        ids = np.flatnonzero(self.support)
         return {
             "z0": {str(int(i)): float(self.z0[i]) for i in ids},
             "z1": {str(int(i)): float(self.z1[i]) for i in ids},
@@ -126,26 +118,11 @@ class ConsistentPriceSystem:
     @classmethod
     def from_json(cls, tree: ScenarioTree, obj: dict) -> "ConsistentPriceSystem":
         try:
-            z0 = {int(k): _number(v, f"z0 at node {k}") for k, v in obj["z0"].items()}
-            z1 = {int(k): _number(v, f"z1 at node {k}") for k, v in obj["z1"].items()}
+            z0 = {int(k): _number(v, f"z0 at node {k}") for k, v in _object(obj["z0"], "z0").items()}
+            z1 = {int(k): _number(v, f"z1 at node {k}") for k, v in _object(obj["z1"], "z1").items()}
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad price-system document: {exc}") from exc
         return cls.from_maps(tree, z0, z1)
-
-
-def _stop_above(tree: ScenarioTree, stop) -> np.ndarray:
-    """Per node, the stop node at or above it, or -1 while the stop has not
-    fired (everywhere for ``stop=None``).
-
-    A stop set is an antichain, so every root path holds at most one stop
-    node and the path sum of ``id + 1`` over the stop nodes names it.  The
-    truncated market is the mask ``(above < 0) | (above == node)``.
-    """
-    mark = np.zeros(tree.node_count)
-    if stop is not None:
-        ids = np.fromiter(_stop_ids(tree, stop), dtype=np.int64)
-        mark[ids] = ids + 1.0
-    return tree.path_sum(mark).astype(np.int64) - 1
 
 
 @dataclass(frozen=True)
@@ -180,9 +157,8 @@ def verify_cps(
         )
     above = _stop_above(tree, stop)
     required = (above < 0) | (above == np.arange(tree.node_count))
-    have = cps.support_mask()
-    if (required & ~have).any():
-        missing = np.flatnonzero(required & ~have)[:5].tolist()
+    if (required & ~cps.support).any():
+        missing = np.flatnonzero(required & ~cps.support)[:5].tolist()
         raise ShapeMismatch(f"price system undefined on required nodes {missing}")
 
     z0, z1, S = cps.z0, cps.z1, tree.price
@@ -365,7 +341,8 @@ def stopped_martingale_check(
     stop,
     bound: float,
 ) -> bool:
-    """Verify the process frozen at the stopping time is a martingale.
+    """Verify the process ``x``, a node-indexed array, frozen at the stopping
+    time is a martingale.
 
     Hypotheses checked first: ``x`` is nonnegative everywhere and bounded by
     ``bound`` strictly before the stop.  On a finite tree this is the whole
@@ -373,11 +350,6 @@ def stopped_martingale_check(
     stop leaves nothing for the stopped process to lose.
     """
     tol = 1e-10
-    if isinstance(x, Mapping):
-        arr = np.zeros(tree.node_count)
-        for k, v in x.items():
-            arr[tree.check_node(int(k))] = float(v)
-        x = arr
     x = np.asarray(x, dtype=float)
     if x.shape != (tree.node_count,):
         raise ShapeMismatch("process must assign a value to every node")
@@ -408,15 +380,14 @@ def mix_cps(
     mixed values."""
     if cps_a.node_count != cps_b.node_count:
         raise MismatchedTrees("price systems index different node counts")
-    ma, mb = cps_a.support_mask(), cps_b.support_mask()
-    if (ma != mb).any():
+    if (cps_a.support != cps_b.support).any():
         raise MismatchedTrees("price systems live on different supports")
     mu = float(mu)
     if not (0.0 <= mu <= 1.0):
         raise ValidationError(f"mixing weight must be in [0, 1], got {mu}")
     z0 = mu * cps_a.z0 + (1.0 - mu) * cps_b.z0
     z1 = mu * cps_a.z1 + (1.0 - mu) * cps_b.z1
-    return ConsistentPriceSystem(z0, z1, None if ma.all() else ma)
+    return ConsistentPriceSystem(z0, z1, cps_a.support)
 
 
 def random_cps(
@@ -486,10 +457,9 @@ def random_cps(
                 )
             raise ValidationError(f"shadow-price extension failed at node {i}")
 
-    mask = required
     shadow = np.where(np.isnan(shadow), S, shadow)
     z1 = z0 * shadow
-    out = ConsistentPriceSystem(z0, z1, None if mask.all() else mask)
+    out = ConsistentPriceSystem(z0, z1, required)
     check = verify_cps(tree, lam, out, stop=stop)
     if not check:
         raise CertificateFailure(f"random system failed verification: {check.worst}")

@@ -20,7 +20,6 @@ from .errors import NotAnAntichain, ParseError, UnknownNode, ValidationError
 
 __all__ = [
     "ScenarioTree",
-    "Antichain",
     "ClaimSpec",
     "PriceModel",
     "load_tree",
@@ -221,37 +220,33 @@ def path_probability(tree: ScenarioTree, node: int) -> float:
     return float(tree.path_prob[tree.check_node(node)])
 
 
-def is_antichain(tree: ScenarioTree, nodes: Iterable[int]) -> bool:
-    """True iff no element of ``nodes`` is a strict ancestor of another.
+def _stop_above(tree: ScenarioTree, stop) -> np.ndarray:
+    """Per node, the stop node at or above it, or -1 while the stop has not
+    fired (everywhere for ``stop=None``).
 
-    Such a set is the hitting set of a stopping time; paths that miss it
-    correspond to the stopping time never firing.
+    ``stop`` holds the node ids of a stopping time's hitting set.  The path
+    sum of ``id + 1`` over them names the one stop node on each root path; a
+    stop node whose parent already has one above it makes an ancestor pair.
+    The truncated market is the mask ``(above < 0) | (above == node)``.
     """
-    ids = {tree.check_node(i) for i in nodes}
-    for i in ids:
-        for a in tree.ancestors(i):
-            if a in ids:
-                return False
+    ids = np.array([tree.check_node(i) for i in (() if stop is None else stop)], dtype=np.int64)
+    mark = np.zeros(tree.node_count)
+    mark[ids] = ids + 1.0
+    above = tree.path_sum(mark).astype(np.int64) - 1
+    up = tree.parent[ids]
+    if ((up >= 0) & (above[up] >= 0)).any():
+        raise NotAnAntichain(f"set {sorted(set(ids.tolist()))} contains an ancestor pair")
+    return above
+
+
+def is_antichain(tree: ScenarioTree, nodes: Iterable[int]) -> bool:
+    """True iff no element of ``nodes`` is a strict ancestor of another: then
+    it is the hitting set of a stopping time that never fires on paths missing it."""
+    try:
+        _stop_above(tree, nodes)
+    except NotAnAntichain:
+        return False
     return True
-
-
-@dataclass(frozen=True)
-class Antichain:
-    """Validated hitting set of a stopping time."""
-
-    node_ids: frozenset[int]
-
-    @classmethod
-    def of(cls, tree: ScenarioTree, nodes: Iterable[int]) -> "Antichain":
-        ids = frozenset(int(i) for i in nodes)
-        if not is_antichain(tree, ids):
-            raise NotAnAntichain(f"set {sorted(ids)} contains an ancestor pair")
-        return cls(ids)
-
-
-def _stop_ids(tree: ScenarioTree, stop) -> frozenset[int]:
-    """Normalize an antichain argument, validating it against the tree."""
-    return Antichain.of(tree, stop.node_ids if isinstance(stop, Antichain) else stop).node_ids
 
 
 _BOUND_KINDS = ("constant", "stock_bond")
@@ -312,7 +307,10 @@ class ClaimSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "ClaimSpec":
         try:
-            payoffs = {int(k): _number(v, f"payoff of leaf {k}") for k, v in obj["payoffs"].items()}
+            payoffs = {
+                int(k): _number(v, f"payoff of leaf {k}")
+                for k, v in _object(obj["payoffs"], "payoffs").items()
+            }
             kind = obj.get("bound", "constant")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad claim document: {exc}") from exc
@@ -349,6 +347,13 @@ def _number(value, field: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise TypeError(f"{field} must be a JSON number, got {value!r}")
     return float(value)
+
+
+def _object(value, field: str) -> dict:
+    """A JSON object, whose items a document reader walks."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{field} must be a JSON object, got {value!r}")
+    return value
 
 
 def load_tree(source) -> ScenarioTree:

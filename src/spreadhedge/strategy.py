@@ -25,10 +25,9 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .scenario_tree import ScenarioTree, _number, _stop_ids
+from .scenario_tree import ScenarioTree, _number, _object, _stop_above
 
 __all__ = [
-    "TransactionCosts",
     "Strategy",
     "AdmissibilityCap",
     "PortfolioPath",
@@ -49,20 +48,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TransactionCosts:
-    """Proportional friction: buy at ``S``, sell at ``(1 - rate) * S``."""
-
-    rate: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.rate < 1.0):
-            raise BadFriction(f"transaction cost rate must be in [0, 1), got {self.rate}")
-
-
 def _rate(lam) -> float:
-    if isinstance(lam, TransactionCosts):
-        return lam.rate
+    """The proportional friction rate: buy at ``S``, sell at ``(1 - lam) * S``."""
     lam = float(lam)
     if not (0.0 <= lam < 1.0):
         raise BadFriction(f"transaction cost rate must be in [0, 1), got {lam}")
@@ -153,8 +140,11 @@ class Strategy:
         try:
             initial = tuple(_number(obj["initial"][i], f"initial[{i}]") for i in (0, 1))
             trades = {
-                int(k): {kk: _number(vv, f"{kk} at node {k}") for kk, vv in v.items()}
-                for k, v in obj.get("trades", {}).items()
+                int(k): {
+                    kk: _number(vv, f"{kk} at node {k}")
+                    for kk, vv in _object(v, f"trade at node {k}").items()
+                }
+                for k, v in _object(obj.get("trades", {}), "trades").items()
             }
         except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise ParseError(f"bad strategy document: {exc}") from exc
@@ -322,8 +312,6 @@ def check_admissibility(
     covers all stopping times.  Returns the first violating node (ascending
     id) with the value and floor there.
     """
-    if not cap.is_bounded:
-        return AdmissibilityCheck(True, None)
     return _admissibility(tree, liquidation_values(tree, lam, strategy), cap)
 
 
@@ -339,35 +327,30 @@ def minimal_admissibility_bound(tree: ScenarioTree, lam, strategy: Strategy, kin
     return _minimal_bound(tree, liquidation_values(tree, lam, strategy), kind)
 
 
+def _stop_trades(tree: ScenarioTree, stop, counts: Mapping[int, float], side: str) -> np.ndarray:
+    """``counts[n]`` at each stop node ``n`` and 0 elsewhere."""
+    trades = np.zeros(tree.node_count)
+    for i in np.flatnonzero(_stop_above(tree, stop) == np.arange(tree.node_count)).tolist():
+        if i not in counts:
+            raise ShapeMismatch(f"no share count for stop node {i}")
+        q = float(counts[i])
+        if q < 0.0:
+            raise ValidationError(f"{side} strategy needs nonnegative share counts, got {q} at node {i}")
+        trades[i] = q
+    return trades
+
+
 def make_ask_strategy(tree: ScenarioTree, stop, f: Mapping[int, float]) -> Strategy:
     """Buy ``f[n]`` shares at the ask when the stopping time fires at ``n`` and hold."""
-    ids = _stop_ids(tree, stop)
     n = tree.node_count
-    buy = np.zeros(n)
-    for i in ids:
-        if i not in f:
-            raise ShapeMismatch(f"no share count for stop node {i}")
-        q = float(f[i])
-        if q < 0.0:
-            raise ValidationError(f"ask strategy needs nonnegative share counts, got {q} at node {i}")
-        buy[i] = q
-    return Strategy((0.0, 0.0), buy, np.zeros(n), np.zeros(n))
+    return Strategy((0.0, 0.0), _stop_trades(tree, stop, f, "ask"), np.zeros(n), np.zeros(n))
 
 
 def make_bid_strategy(tree: ScenarioTree, lam, stop, g: Mapping[int, float]) -> Strategy:
     """Sell ``g[n]`` shares at the bid when the stopping time fires at ``n`` and hold."""
     _rate(lam)
-    ids = _stop_ids(tree, stop)
     n = tree.node_count
-    sell = np.zeros(n)
-    for i in ids:
-        if i not in g:
-            raise ShapeMismatch(f"no share count for stop node {i}")
-        q = float(g[i])
-        if q < 0.0:
-            raise ValidationError(f"bid strategy needs nonnegative share counts, got {q} at node {i}")
-        sell[i] = q
-    return Strategy((0.0, 0.0), np.zeros(n), sell, np.zeros(n))
+    return Strategy((0.0, 0.0), np.zeros(n), _stop_trades(tree, stop, g, "bid"), np.zeros(n))
 
 
 def lower_friction_transform(tree: ScenarioTree, strategy: Strategy, lam, lam_prime) -> Strategy:

@@ -22,8 +22,9 @@ from spreadhedge import (
     load_tree,
     random_cps,
 )
-from spreadhedge.cps import _stop_above, verify_cps
+from spreadhedge.cps import verify_cps
 from spreadhedge.errors import CertificateFailure
+from spreadhedge.scenario_tree import _stop_above
 from spreadhedge.strategy import _rate
 
 
@@ -145,7 +146,7 @@ def _outcome(build, tree, lam, seed, stop):
         cps = build(tree, lam, seed, stop=stop)
     except (ValidationError, CertificateFailure) as exc:
         return type(exc), str(exc)
-    return cps.z0, cps.z1, cps.support_mask()
+    return cps.z0, cps.z1, cps.support
 
 
 def _assert_same(tree, lam, seed, stop=None):

@@ -620,6 +620,36 @@ class TestGenerationAndReport:
         err = capsys.readouterr().err
         assert err.startswith("spreadhedge: ") and ("JSON number" in err or "not finite" in err), err
 
+    @pytest.mark.parametrize(
+        "argv, text, field",
+        [
+            (["check-strategy", "--strategy"], '{"initial": [0, 0], "trades": {"0": [1]}}', "trade at node 0"),
+            (["verify-cps", "--cps"], '{"z0": [1, 1, 1], "z1": {"0": 94, "1": 110, "2": 78}}', "z0"),
+            (["price", "--claim"], '{"payoffs": [1, 2]}', "payoffs"),
+        ],
+        ids=["strategy-trade", "cps-z0", "claim-payoffs"],
+    )
+    def test_list_for_an_object_is_input_error(self, files, capsys, argv, text, field):
+        # each used to escape main as an AttributeError traceback
+        (files / "list.json").write_text(text)
+        argv = [*argv, str(files / "list.json"), "--tree", str(files / "b1.json"), "--lambda", "0.1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spreadhedge: bad ") and f": {field} must be a JSON object, got " in err, err
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["+".join(["S"] * 5001), "(" * 2000 + "S" + ")" * 2000, "-" * 3000 + "S"],
+        ids=["long-sum", "nested-parens", "unary-minus-run"],
+    )
+    def test_deep_payoff_expression_is_input_error(self, files, capsys, expr):
+        # each used to end in a RecursionError traceback
+        argv = ["price", "--tree", str(files / "b1.json"), f"--claim-expr={expr}", "--lambda", "0.1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "spreadhedge: payoff expression nested too deeply\n"
+        assert captured.out == ""
+
     def test_unknown_trade_key_is_input_error(self, files, capsys):
         # used to be certified as no trade with exit 0
         (files / "typo.json").write_text('{"initial": [0, 0], "trades": {"0": {"by": 1.0}}}')

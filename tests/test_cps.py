@@ -90,6 +90,27 @@ class TestVerify:
         with pytest.raises(ParseError, match=r"^bad price-system document: z1 at node 2 must be a JSON number"):
             ConsistentPriceSystem.from_json(b1, doc)
 
+    @pytest.mark.parametrize("field", ["z0", "z1"])
+    def test_list_for_an_object_is_parse_error(self, b1, cps_b1, field):
+        # a list used to escape as an AttributeError
+        doc = {**cps_b1.to_json(), field: [1, 1, 1]}
+        with pytest.raises(ParseError, match=f"^bad price-system document: {field} must be a JSON object, got"):
+            ConsistentPriceSystem.from_json(b1, doc)
+
+    def test_support_is_always_a_read_only_copy(self, b1):
+        z = np.ones(3)
+        whole = ConsistentPriceSystem(z, z)
+        assert whole.support.dtype == bool and whole.support.tolist() == [True, True, True]
+        mask = np.array([1, 1, 0])
+        part = ConsistentPriceSystem(z, z, mask)
+        z[0], mask[0] = 2.0, 0  # the caller's arrays stay writeable and unshared
+        assert part.support.tolist() == [True, True, False] and part.z0[0] == 1.0
+        for arr in (part.z0, part.z1, part.support):
+            assert not arr.flags.writeable
+        assert ConsistentPriceSystem.from_maps(b1, {0: 1.0}, {0: 94.0}).support.tolist() == [True, False, False]
+        with pytest.raises(ShapeMismatch):
+            ConsistentPriceSystem(z, z, [True, False])
+
 
 class TestShadowPrice:
     def test_hand_example(self, b1, cps_b1):
@@ -272,6 +293,11 @@ class TestStoppedMartingale:
         x = np.full(3, 5.0)
         assert stopped_martingale_check(b1, x, {1, 2}, 5.0)
         assert stopped_martingale_check(b1, x, {0}, 5.0)
+
+    def test_process_is_an_array(self, b1):
+        assert stopped_martingale_check(b1, [5.0, 5.0, 5.0], None, 5.0)
+        with pytest.raises(TypeError):
+            stopped_martingale_check(b1, {0: 5.0, 1: 5.0, 2: 5.0}, {1, 2}, 5.0)
 
     def test_drifted_prices_fail(self):
         doc = {

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spreadhedge import (
-    Antichain,
     ClaimSpec,
     NotAnAntichain,
     ParseError,
@@ -20,7 +19,9 @@ from spreadhedge import (
     is_antichain,
     load_tree,
     path_probability,
+    random_cps,
 )
+from spreadhedge.scenario_tree import _stop_above
 from tests.conftest import B1_JSON
 
 
@@ -345,12 +346,104 @@ class TestAntichain:
         assert is_antichain(tree, set(tree.leaves.tolist()))
 
     def test_factory_rejects_chain(self, b1):
-        with pytest.raises(NotAnAntichain):
-            Antichain.of(b1, {0, 2})
+        with pytest.raises(NotAnAntichain, match=r"^set \[0, 2\] contains an ancestor pair$"):
+            random_cps(b1, 0.1, 0, stop={0, 2})
 
     def test_unknown_node(self, b1):
         with pytest.raises(UnknownNode):
             is_antichain(b1, {0, 99})
+
+
+def reference_is_antichain(tree, nodes):
+    """``is_antichain`` as it was written before stop sets were resolved by
+    one path sum: a walk over every stop node's ancestors."""
+    ids = {tree.check_node(i) for i in nodes}
+    for i in ids:
+        for a in tree.ancestors(i):
+            if a in ids:
+                return False
+    return True
+
+
+def reference_stop_above(tree, stop):
+    """``_stop_above`` as it was written before, over the validated set that
+    the ``Antichain`` type held."""
+    mark = np.zeros(tree.node_count)
+    if stop is not None:
+        ids = frozenset(int(i) for i in stop)
+        if not reference_is_antichain(tree, ids):
+            raise NotAnAntichain(f"set {sorted(ids)} contains an ancestor pair")
+        ids = np.fromiter(ids, dtype=np.int64)
+        mark[ids] = ids + 1.0
+    return tree.path_sum(mark).astype(np.int64) - 1
+
+
+def _resolved(fn, tree, stop):
+    """What ``fn`` returns, or the type and text of what it raised."""
+    try:
+        return fn(tree, stop)
+    except (NotAnAntichain, UnknownNode) as exc:
+        return type(exc), str(exc)
+
+
+def _stop_sets(tree, rng):
+    """Stop sets of every kind the resolver meets, as lists (so duplicates
+    survive) and in one case as an array."""
+    n = tree.node_count
+    anti = []
+    for i in rng.permutation(n).tolist():
+        related = any(a in anti for a in tree.ancestors(i)) or any(i in tree.ancestors(j) for j in anti)
+        if not related and rng.random() < 0.4:
+            anti.append(i)
+    leaves = tree.leaves.tolist()
+    deep = int(rng.choice(leaves))
+    yield "antichain", anti
+    yield "array", np.array(anti, dtype=np.int64)
+    yield "ancestor pair", anti + [tree.ancestors(deep)[0], deep]
+    yield "chain", [deep] + tree.ancestors(deep)
+    yield "random subset", rng.choice(n, size=min(n, 5), replace=False).tolist()
+    yield "duplicates", anti + anti[:2]
+    yield "duplicate pair", [deep, deep, tree.parent[deep], tree.parent[deep]]
+    yield "root", [0]
+    yield "root twice", [0, 0]
+    yield "empty", []
+    yield "all leaves", leaves
+    yield "unknown", anti + [n]
+    yield "negative", [-1]
+    yield "unknown and pair", [0, deep, n + 3]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_stop_resolution_matches_ancestor_walk(seed):
+    rng = np.random.default_rng(seed)
+    tree = generate_random_tree(seed, depth=1 + seed % 5, max_branching=2 + seed % 3)
+    kinds = set()
+    for kind, stop in _stop_sets(tree, rng):
+        got = _resolved(_stop_above, tree, stop)
+        want = _resolved(reference_stop_above, tree, stop)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want), kind
+            kinds.add(np.ndarray)
+        else:
+            assert got == want, kind
+            kinds.add(want[0])
+        got = _resolved(is_antichain, tree, stop)
+        want = _resolved(reference_is_antichain, tree, stop)
+        assert got == want, kind
+    assert kinds == {np.ndarray, NotAnAntichain, UnknownNode}
+    assert np.array_equal(_stop_above(tree, None), np.full(tree.node_count, -1))
+    assert np.array_equal(_stop_above(tree, None), reference_stop_above(tree, None))
+
+
+def test_stop_resolution_messages(b1):
+    with pytest.raises(NotAnAntichain) as exc:
+        _stop_above(b1, [2, 0, 2])
+    assert str(exc.value) == "set [0, 2] contains an ancestor pair"
+    with pytest.raises(UnknownNode) as exc:
+        _stop_above(b1, [1, 99])
+    assert str(exc.value) == "node 99 not in tree with 3 nodes"
+    assert _stop_above(b1, [0]).tolist() == [0, 0, 0]
+    assert _stop_above(b1, [2, 1, 1]).tolist() == [-1, 1, 2]
 
 
 class TestGenerateRandomTree:
@@ -434,3 +527,8 @@ class TestClaimSpec:
     def test_non_number_payoff_is_parse_error(self, payoffs):
         with pytest.raises(ParseError, match="must be a JSON number"):
             ClaimSpec.from_json({"payoffs": payoffs})
+
+    def test_list_for_an_object_is_parse_error(self):
+        # a list used to escape as an AttributeError
+        with pytest.raises(ParseError, match=r"^bad claim document: payoffs must be a JSON object, got \[1, 2\]$"):
+            ClaimSpec.from_json({"payoffs": [1, 2]})

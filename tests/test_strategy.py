@@ -10,7 +10,6 @@ from spreadhedge import (
     ParseError,
     ShapeMismatch,
     Strategy,
-    TransactionCosts,
     ValidationError,
     check_admissibility,
     generate_random_tree,
@@ -49,7 +48,7 @@ class TestSelfFinancing:
         with pytest.raises(BadFriction):
             is_self_financing(b1, 1.0, Strategy.zero(b1))
         with pytest.raises(BadFriction):
-            TransactionCosts(-0.1)
+            is_self_financing(b1, -0.1, Strategy.zero(b1))
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(1, 10_000))
@@ -155,6 +154,15 @@ class TestHoldings:
         assert strat.buy.tolist() == [0.0, 0.0, 0.0]
         assert not strat.buy.flags.writeable
 
+    @pytest.mark.parametrize(
+        "trades, field",
+        [({"0": [1]}, "trade at node 0"), ([{"buy": 1}], "trades")],
+    )
+    def test_list_for_an_object_is_parse_error(self, b1, trades, field):
+        # a trade given as a list used to escape as an AttributeError
+        with pytest.raises(ParseError, match=f"^bad strategy document: {field} must be a JSON object, got "):
+            Strategy.from_json(b1, {"initial": [0, 0], "trades": trades})
+
 
 class TestLiquidation:
     def test_long_position_sells_at_bid(self):
@@ -206,6 +214,18 @@ class TestAdmissibility:
         s = Strategy.zero(b1)
         assert check_admissibility(b1, 0.1, s, AdmissibilityCap.numeraire_based(0.0))
         assert check_admissibility(b1, 0.1, s, AdmissibilityCap.unbounded())
+
+    def test_unbounded_cap_still_checks_its_inputs(self):
+        # an unbounded cap used to return ok=True before looking at lam or the strategy
+        tree = generate_random_tree(1, depth=2, max_branching=2)
+        assert tree.node_count == 7
+        cap = AdmissibilityCap.unbounded()
+        short = Strategy((0, 0), np.zeros(3), np.zeros(3), np.zeros(3))
+        with pytest.raises(BadFriction):
+            check_admissibility(tree, 5.0, short, cap)
+        with pytest.raises(ShapeMismatch):
+            check_admissibility(tree, 0.1, short, cap)
+        assert check_admissibility(tree, 0.1, random_strategy(tree, 3, scale=1e6), cap)
 
     def test_hedge_floor_is_zero(self, b1, c1_hedge):
         # liquidation values are (10, 20, 0): admissible at every bond floor
