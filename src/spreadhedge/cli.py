@@ -170,9 +170,27 @@ class _ExprParser:
         return node
 
 
+_TOO_DEEP = "payoff expression nested too deeply"
+
+
 def parse_payoff_expr(text: str):
-    """Compile a payoff expression over the terminal price into a callable."""
-    return _ExprParser(text).parse()
+    """Compile a payoff expression over the terminal price into a callable.
+
+    The parser and the compiled callable both recurse, so an expression
+    nested past Python's recursion limit raises ``ParseError`` from either.
+    """
+    try:
+        node = _ExprParser(text).parse()
+    except RecursionError:
+        raise ParseError(_TOO_DEEP) from None
+
+    def payoff(s):
+        try:
+            return node(s)
+        except RecursionError:
+            raise ParseError(_TOO_DEEP) from None
+
+    return payoff
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +217,8 @@ def _load_tree(path: str) -> ScenarioTree:
 
 def _load_claim(args: argparse.Namespace, tree: ScenarioTree) -> ClaimSpec:
     if args.claim_expr is not None:
-        try:  # the parser and the compiled expression both recurse
-            fn = parse_payoff_expr(args.claim_expr)
-            payoffs = {int(l): float(fn(float(tree.price[l]))) for l in tree.leaves}
-        except RecursionError:
-            raise ParseError("payoff expression nested too deeply") from None
+        fn = parse_payoff_expr(args.claim_expr)
+        payoffs = {int(l): float(fn(float(tree.price[l]))) for l in tree.leaves}
         return ClaimSpec(payoffs, args.bound_kind)
     if args.claim_path is None:
         raise ParseError("a claim file or --claim-expr is required")

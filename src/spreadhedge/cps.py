@@ -31,7 +31,7 @@ from .errors import (
     UnverifiedInput,
     ValidationError,
 )
-from .scenario_tree import ClaimSpec, ScenarioTree, _number, _object, _stop_above
+from .scenario_tree import ClaimSpec, ScenarioTree, _finite, _number, _object, _stop_above
 from .strategy import PortfolioPath, Strategy, _rate, portfolio_path
 
 __all__ = [
@@ -56,7 +56,9 @@ class ConsistentPriceSystem:
     """Node-indexed martingale pair.  ``support`` is always a boolean mask of
     the nodes the system is defined on (``None`` in the constructor means the
     whole tree); systems built for a market truncated at a stopping time live
-    on the truncated node set.  All three arrays are read-only copies."""
+    on the truncated node set.  All three arrays are read-only copies, and
+    every entry of ``z0`` and ``z1`` must be finite: NaN passes every
+    comparison the checks make."""
 
     z0: np.ndarray
     z1: np.ndarray
@@ -71,6 +73,8 @@ class ConsistentPriceSystem:
         support = np.ones(z0.size, bool) if self.support is None else np.array(self.support, bool)
         if support.shape != z0.shape:
             raise ShapeMismatch("support mask must match z0/z1")
+        _finite(z0, "price system z0")
+        _finite(z1, "price system z1")
         for arr in (z0, z1, support):
             arr.setflags(write=False)
         object.__setattr__(self, "z0", z0)
@@ -344,15 +348,19 @@ def stopped_martingale_check(
     """Verify the process ``x``, a node-indexed array, frozen at the stopping
     time is a martingale.
 
-    Hypotheses checked first: ``x`` is nonnegative everywhere and bounded by
-    ``bound`` strictly before the stop.  On a finite tree this is the whole
-    content of the local-to-true martingale upgrade: boundedness before the
-    stop leaves nothing for the stopped process to lose.
+    Hypotheses checked first: ``x`` and ``bound`` are finite, ``x`` is
+    nonnegative everywhere and bounded by ``bound`` strictly before the stop.
+    On a finite tree this is the whole content of the local-to-true
+    martingale upgrade: boundedness before the stop leaves nothing for the
+    stopped process to lose.
     """
     tol = 1e-10
     x = np.asarray(x, dtype=float)
     if x.shape != (tree.node_count,):
         raise ShapeMismatch("process must assign a value to every node")
+    _finite(x, "process x")
+    if not np.isfinite(bound):
+        raise ValidationError(f"bound must be finite, got {bound}")
     if (x < -tol).any():
         raise PreconditionViolated("process must be nonnegative")
     above = _stop_above(tree, stop)

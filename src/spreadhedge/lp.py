@@ -102,11 +102,8 @@ class LinearProgram:
         upper = np.full(n, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float).copy()
         if lower.shape != (n,) or upper.shape != (n,):
             raise ValidationError("bounds must match the variable count")
-        for name, arr in (("c", c), ("A_eq", A_eq), ("A_ub", A_ub)):
-            if arr.size and np.isnan(arr).any():
-                raise ValidationError(f"{name} contains NaN")
-        for name, arr in (("b_eq", b_eq), ("b_ub", b_ub)):
-            if arr.size and not np.isfinite(arr).all():
+        for name, arr in (("c", c), ("A_eq", A_eq), ("b_eq", b_eq), ("A_ub", A_ub), ("b_ub", b_ub)):
+            if not np.isfinite(arr).all():
                 raise ValidationError(f"{name} must be finite")
         if np.isnan(lower).any() or np.isnan(upper).any():
             raise ValidationError("bounds contain NaN")
@@ -253,18 +250,28 @@ def _standard_form(lp: LinearProgram, sign: float) -> _StandardForm:
 
 
 class _Simplex:
-    """Revised simplex with an explicit, periodically refactorized basis inverse."""
+    """Revised simplex with an explicit, periodically refactorized basis inverse.
+
+    The object holds the basis, the mask of basic columns and the basis
+    inverse; ``pivot`` is the only place they change between
+    refactorizations.
+    """
 
     REFACTOR_EVERY = 128
 
-    def __init__(self, A: np.ndarray, b: np.ndarray):
+    def __init__(self, A: np.ndarray, b: np.ndarray, basis: np.ndarray):
         self.A = A
         self.b = b
         self.m = A.shape[0]
+        self.basis = basis.copy()
+        self.in_basis = np.zeros(A.shape[1], dtype=bool)
+        self.in_basis[basis] = True
+        self.Binv = self.refactorize()
         self.iterations = 0
+        self._outer = np.empty((self.m, self.m))
 
-    def refactorize(self, basis: np.ndarray) -> np.ndarray:
-        B = self.A[:, basis]
+    def refactorize(self) -> np.ndarray:
+        B = self.A[:, self.basis]
         try:
             Binv = np.linalg.solve(B, np.eye(self.m))
         except np.linalg.LinAlgError as exc:
@@ -274,18 +281,23 @@ class _Simplex:
             raise NumericalBreakdown(f"basis inverse residual {err:.2e}")
         return Binv
 
-    def run(
-        self,
-        c: np.ndarray,
-        basis: np.ndarray,
-        Binv: np.ndarray,
-        allowed: np.ndarray,
-        max_iter: int,
-    ) -> tuple[str, np.ndarray, np.ndarray]:
-        """Minimize c'x from the given basic feasible solution.
+    def pivot(self, p: int, j: int, d: np.ndarray) -> None:
+        """Column ``j`` replaces the basic column of row ``p``; ``d = B⁻¹A_j``.
+        The inverse takes a rank-one update, in place."""
+        self.in_basis[self.basis[p]] = False
+        self.in_basis[j] = True
+        self.basis[p] = j
+        row_p = self.Binv[p] / d[p]
+        np.multiply.outer(d, row_p, out=self._outer)
+        self.Binv -= self._outer
+        self.Binv[p, :] = row_p
 
-        ``allowed`` masks the columns permitted to enter.  Returns
-        ``(status, basis, Binv)`` with status "optimal" or "unbounded".
+    def run(self, c: np.ndarray, allowed: np.ndarray, max_iter: int) -> str:
+        """Minimize c'x from the current basic feasible solution.
+
+        ``allowed`` masks the columns permitted to enter.  Returns "optimal"
+        or "unbounded"; the latter only from the ratio test, which then holds
+        the entering column ``j`` and ``d = B⁻¹A_j``.
         """
         A, b, m = self.A, self.b, self.m
         bland = False
@@ -293,16 +305,11 @@ class _Simplex:
         stall_limit = max(200, 2 * m)
         prev_obj = np.inf
         since_refactor = 0
-        in_basis = np.zeros(A.shape[1], dtype=bool)
-        in_basis[basis] = True
-        basis = basis.copy()
-        Binv = Binv.copy()
-        cb = c[basis].copy()
-        update_buf = np.empty((m, m))
+        cb = c[self.basis]
         while True:
             if self.iterations >= max_iter:
                 raise NumericalBreakdown(f"iteration limit {max_iter} exceeded")
-            x_B = Binv @ b
+            x_B = self.Binv @ b
             obj = float(cb @ x_B)
             if obj < prev_obj - 1e-12 * (1.0 + abs(prev_obj)):
                 stall = 0
@@ -311,45 +318,36 @@ class _Simplex:
                 if stall > stall_limit:
                     bland = True  # anti-cycling: switch to Bland's rule
             prev_obj = obj
-            y = cb @ Binv
+            y = cb @ self.Binv
             r = c - y @ A
-            cand = (~in_basis) & allowed & (r < -PIVOT_TOL)
+            cand = (~self.in_basis) & allowed & (r < -PIVOT_TOL)
             if not cand.any():
-                return "optimal", basis, Binv
+                return "optimal"
             idx = np.flatnonzero(cand)
             j = int(idx[0]) if bland else int(idx[np.argmin(r[idx])])
-            d = Binv @ A[:, j]
-            p = self._leaving_row(x_B, d, basis, bland)
-            if p is None:
-                return "unbounded", basis, Binv
-            if abs(d[p]) < 1e-7:
+            d = self.Binv @ A[:, j]
+            p = self._leaving_row(x_B, d, bland)
+            if p is not None and abs(d[p]) < 1e-7:
                 # the update would amplify error by 1/|pivot|; retry from a
                 # fresh factorization before accepting such a step
-                Binv = self.refactorize(basis)
+                self.Binv = self.refactorize()
                 since_refactor = 0
-                x_B = Binv @ b
-                d = Binv @ A[:, j]
-                p = self._leaving_row(x_B, d, basis, bland)
-                if p is None:
-                    return "unbounded", basis, Binv
-                if abs(d[p]) < BREAKDOWN_TOL:
-                    raise NumericalBreakdown(f"pivot magnitude {abs(d[p]):.2e}")
-            in_basis[basis[p]] = False
-            in_basis[j] = True
-            basis[p] = j
+                x_B = self.Binv @ b
+                d = self.Binv @ A[:, j]
+                p = self._leaving_row(x_B, d, bland)
+            if p is None:
+                return "unbounded"
+            if abs(d[p]) < BREAKDOWN_TOL:
+                raise NumericalBreakdown(f"pivot magnitude {abs(d[p]):.2e}")
+            self.pivot(p, j, d)
             cb[p] = c[j]
-            # rank-one update of the inverse, in place
-            row_p = Binv[p] / d[p]
-            np.multiply.outer(d, row_p, out=update_buf)
-            Binv -= update_buf
-            Binv[p, :] = row_p
             self.iterations += 1
             since_refactor += 1
             if since_refactor >= self.REFACTOR_EVERY:
-                Binv = self.refactorize(basis)
+                self.Binv = self.refactorize()
                 since_refactor = 0
 
-    def _leaving_row(self, x_B, d, basis, bland: bool):
+    def _leaving_row(self, x_B, d, bland: bool):
         """Minimum-ratio row; ties go to the largest pivot for stability, or
         to the smallest basic index in Bland mode (the termination guarantee)."""
         pos = d > PIVOT_TOL
@@ -359,25 +357,32 @@ class _Simplex:
         theta = ratios.min()
         ties = np.flatnonzero(ratios <= theta + 1e-9 * (1.0 + abs(theta)))
         if bland:
-            return int(ties[np.argmin(basis[ties])])
+            return int(ties[np.argmin(self.basis[ties])])
         return int(ties[np.argmax(d[ties])])
+
+
+def _phase(
+    A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray, n: int
+) -> tuple[str, _Simplex]:
+    """Factorize the basis and run the simplex on it; only the first ``n``
+    columns may enter.  Returns ``(status, simplex)``."""
+    sx = _Simplex(A, b, basis)
+    allowed = np.arange(A.shape[1]) < n
+    return sx.run(c, allowed, 200000 + 100 * (A.shape[0] + n)), sx
 
 
 def _solve_standard(
     sf: _StandardForm,
 ) -> tuple[str, np.ndarray | None, np.ndarray | None, np.ndarray, int]:
-    """Two-phase simplex.  Returns (status, x, y, kept_rows, iterations)."""
+    """Two-phase simplex.  Returns (status, x, y, kept_rows, iterations).
+
+    A program without rows needs no special case: its basis is empty, and
+    the first column with a negative cost fails the ratio test.
+    """
     A, b, c = sf.A, sf.b, sf.c
     m, n = A.shape
     kept_rows = np.arange(m)
     iters = 0
-    if m == 0:
-        # bounds-only problems: every structural variable sits at zero level
-        x = np.zeros(n)
-        # any column with negative cost can grow without limit
-        if (c < -PIVOT_TOL).any():
-            return "unbounded", None, None, kept_rows, iters
-        return "optimal", x, np.zeros(0), kept_rows, iters
 
     # initial basis: slacks where feasible, artificials elsewhere
     art_rows = np.flatnonzero((sf.slack_of_row < 0) | (b < 0))
@@ -387,66 +392,41 @@ def _solve_standard(
     if n_art:
         art = np.zeros((m, n_art))
         art[art_rows, np.arange(n_art)] = np.where(b[art_rows] < 0, -1.0, 1.0)
-        A1 = np.hstack([A, art])
         c1 = np.concatenate([np.zeros(n), np.ones(n_art)])
-        sx = _Simplex(A1, b)
-        Binv = sx.refactorize(basis)
-        allowed = np.ones(n + n_art, dtype=bool)
-        allowed[n:] = False  # artificials may leave but never re-enter
-        max_iter = 200000 + 100 * (m + n)
-        status, basis, Binv = sx.run(c1, basis, Binv, allowed, max_iter)
+        # artificials may leave but never re-enter
+        status, sx = _phase(np.hstack([A, art]), b, c1, basis, n)
         iters += sx.iterations
         if status != "optimal":
             raise NumericalBreakdown("phase-1 objective reported unbounded")
-        x_B = Binv @ b
-        phase1 = float(c1[basis] @ x_B)
+        phase1 = float(c1[sx.basis] @ (sx.Binv @ b))
         if phase1 > 1e-8 * max(1.0, np.abs(b).max()):
             return "infeasible", None, None, kept_rows, iters
-        # drive remaining artificials out of the basis
+        # drive remaining artificials out of the basis; a row whose
+        # artificial no column can replace is redundant and dropped
         drop_rows: list[int] = []
-        basic_set = set(basis.tolist())
-        for p in np.flatnonzero(basis >= n):
-            row = Binv[p, :] @ A
-            pivots = np.flatnonzero(np.abs(row) > 1e-7)
-            entered = False
-            for j in pivots:
-                if j < n and j not in basic_set:
-                    d = Binv @ A[:, j]
+        for p in np.flatnonzero(sx.basis >= n):
+            row = sx.Binv[p, :] @ A
+            for j in np.flatnonzero(np.abs(row) > 1e-7):
+                if not sx.in_basis[j]:
+                    d = sx.Binv @ A[:, j]
                     if abs(d[p]) > 1e-7:
-                        basic_set.discard(int(basis[p]))
-                        basic_set.add(int(j))
-                        basis[p] = j
-                        Binv[p, :] /= d[p]
-                        others = np.arange(m) != p
-                        Binv[others, :] -= np.outer(d[others], Binv[p, :])
-                        entered = True
+                        sx.pivot(p, j, d)
                         break
-            if not entered:
+            else:
                 drop_rows.append(p)
+        basis = np.delete(sx.basis, drop_rows)
         if drop_rows:
             keep = np.delete(np.arange(m), drop_rows)
-            A = A[keep]
-            b = b[keep]
-            kept_rows = kept_rows[keep]
-            basis = np.delete(basis, drop_rows)
-            m = A.shape[0]
-            if m == 0:
-                if (c < -PIVOT_TOL).any():
-                    return "unbounded", None, None, kept_rows, iters
-                return "optimal", np.zeros(n), np.zeros(0), kept_rows, iters
+            A, b, kept_rows = A[keep], b[keep], kept_rows[keep]
 
-    sx = _Simplex(A, b)
-    Binv = sx.refactorize(basis)
-    allowed = np.ones(n, dtype=bool)
-    max_iter = 200000 + 100 * (m + n)
-    status, basis, Binv = sx.run(c, basis, Binv, allowed, max_iter)
+    status, sx = _phase(A, b, c, basis, n)
     iters += sx.iterations
     if status == "unbounded":
         return "unbounded", None, None, kept_rows, iters
-    Binv = sx.refactorize(basis)  # clean final residuals
+    Binv = sx.refactorize()  # clean final residuals
     x = np.zeros(n)
-    x[basis] = Binv @ b
-    y = c[basis] @ Binv
+    x[sx.basis] = Binv @ b
+    y = c[sx.basis] @ Binv
     return "optimal", x, y, kept_rows, iters
 
 
@@ -490,89 +470,76 @@ def solve(lp: LinearProgram) -> LpSolution:
     return sol
 
 
+def _worst(*terms: np.ndarray) -> float:
+    """The largest residual term, 0.0 when there is none, NaN when any term is
+    NaN (Python's ``max(0.0, nan)`` is 0.0).  Adding 0.0 turns -0.0 into 0.0."""
+    return float(np.max(np.concatenate(terms), initial=0.0)) + 0.0
+
+
 def verify_certificate(lp: LinearProgram, sol: LpSolution) -> CertificateReport:
     """Recompute the four optimality residuals from scratch.
 
     Residuals are scaled by ``max(1, |reference|)`` (right-hand side, cost,
     or objective).  Returns a report with the worst residual per family and
-    the list of failed families.
+    the list of failed families; a NaN residual fails its family.
     """
     if sol.status != "optimal":
         return CertificateReport(False, {}, ("status_not_optimal",))
     x, y_eq, y_ub, r = sol.x, sol.y_eq, sol.y_ub, sol.reduced_costs
     sign = _SENSES[lp.objective_sense]
-    res: dict[str, float] = {}
+    fin_lo = np.isfinite(lp.lower)
+    fin_up = np.isfinite(lp.upper)
 
     # primal feasibility
-    primal = 0.0
-    if lp.A_eq.size:
-        primal = max(primal, float(np.max(np.abs(lp.A_eq @ x - lp.b_eq) / np.maximum(1.0, np.abs(lp.b_eq)))))
-    elif lp.b_eq.size:
-        primal = max(primal, float(np.max(np.abs(lp.b_eq))))
-    if lp.A_ub.size:
-        viol = lp.A_ub @ x - lp.b_ub
-        primal = max(primal, float(np.max(np.maximum(viol, 0.0) / np.maximum(1.0, np.abs(lp.b_ub)))))
-    lo_v = np.where(np.isfinite(lp.lower), lp.lower - x, -np.inf)
-    up_v = np.where(np.isfinite(lp.upper), x - lp.upper, -np.inf)
-    bscale = np.maximum(1.0, np.maximum(np.abs(np.where(np.isfinite(lp.lower), lp.lower, 0.0)),
-                                        np.abs(np.where(np.isfinite(lp.upper), lp.upper, 0.0))))
-    primal = max(primal, float(np.max(np.maximum(lo_v, 0.0) / bscale, initial=0.0)))
-    primal = max(primal, float(np.max(np.maximum(up_v, 0.0) / bscale, initial=0.0)))
-    res["primal_feasibility"] = primal
+    lo_v = np.where(fin_lo, lp.lower - x, -np.inf)
+    up_v = np.where(fin_up, x - lp.upper, -np.inf)
+    bscale = np.maximum(1.0, np.maximum(np.abs(np.where(fin_lo, lp.lower, 0.0)),
+                                        np.abs(np.where(fin_up, lp.upper, 0.0))))
+    primal = _worst(
+        np.abs(lp.A_eq @ x - lp.b_eq) / np.maximum(1.0, np.abs(lp.b_eq)),
+        np.maximum(lp.A_ub @ x - lp.b_ub, 0.0) / np.maximum(1.0, np.abs(lp.b_ub)),
+        np.maximum(lo_v, 0.0) / bscale,
+        np.maximum(up_v, 0.0) / bscale,
+    )
 
-    # dual feasibility: multiplier signs plus reduced-cost signs against bounds
-    dual = 0.0
-    if y_ub.size:
-        wrong = sign * y_ub  # must be <= 0
-        dual = max(dual, float(np.max(np.maximum(wrong, 0.0) / np.maximum(1.0, np.abs(y_ub)))))
+    # dual feasibility: multiplier signs (sign * y_ub <= 0) plus reduced-cost
+    # signs against bounds
     cscale = np.maximum(1.0, np.abs(lp.c))
-    no_lower = ~np.isfinite(lp.lower)
-    no_upper = ~np.isfinite(lp.upper)
     sr = sign * r
-    if no_lower.any():
-        dual = max(dual, float(np.max(np.maximum(sr[no_lower], 0.0) / cscale[no_lower], initial=0.0)))
-    if no_upper.any():
-        dual = max(dual, float(np.max(np.maximum(-sr[no_upper], 0.0) / cscale[no_upper], initial=0.0)))
-    res["dual_feasibility"] = dual
+    dual = _worst(
+        np.maximum(sign * y_ub, 0.0) / np.maximum(1.0, np.abs(y_ub)),
+        np.maximum(sr[~fin_lo], 0.0) / cscale[~fin_lo],
+        np.maximum(-sr[~fin_up], 0.0) / cscale[~fin_up],
+    )
 
     # complementary slackness
-    cs = 0.0
-    if lp.A_ub.size:
-        slack = lp.b_ub - lp.A_ub @ x
-        terms = np.abs(y_ub * slack) / np.maximum(1.0, np.maximum(np.abs(y_ub), np.abs(slack)))
-        cs = max(cs, float(terms.max(initial=0.0)))
+    slack = lp.b_ub - lp.A_ub @ x
     r_lo = np.maximum(sr, 0.0)   # pairs with the lower bound
     r_up = np.maximum(-sr, 0.0)  # pairs with the upper bound
-    gap_lo = np.where(np.isfinite(lp.lower), x - lp.lower, 0.0)
-    gap_up = np.where(np.isfinite(lp.upper), lp.upper - x, 0.0)
-    t1 = np.abs(r_lo * gap_lo) / np.maximum(1.0, np.maximum(r_lo, np.abs(gap_lo)))
-    t2 = np.abs(r_up * gap_up) / np.maximum(1.0, np.maximum(r_up, np.abs(gap_up)))
-    cs = max(cs, float(t1.max(initial=0.0)), float(t2.max(initial=0.0)))
-    res["complementary_slackness"] = cs
+    gap_lo = np.where(fin_lo, x - lp.lower, 0.0)
+    gap_up = np.where(fin_up, lp.upper - x, 0.0)
+    cs = _worst(
+        np.abs(y_ub * slack) / np.maximum(1.0, np.maximum(np.abs(y_ub), np.abs(slack))),
+        np.abs(r_lo * gap_lo) / np.maximum(1.0, np.maximum(r_lo, np.abs(gap_lo))),
+        np.abs(r_up * gap_up) / np.maximum(1.0, np.maximum(r_up, np.abs(gap_up))),
+    )
 
     # strong duality, against the objective recomputed from x
     primal_obj = float(lp.c @ x)
-    dual_obj = float(lp.b_eq @ y_eq) if y_eq.size else 0.0
-    dual_obj += float(lp.b_ub @ y_ub) if y_ub.size else 0.0
-    fin_lo = np.isfinite(lp.lower)
-    fin_up = np.isfinite(lp.upper)
     bound_terms = np.where(fin_lo, lp.lower, 0.0) * r_lo - np.where(fin_up, lp.upper, 0.0) * r_up
-    dual_obj += float(sign * np.sum(bound_terms))
-    gap = max(
-        abs(primal_obj - dual_obj), abs(sol.objective - primal_obj)
+    dual_obj = float(lp.b_eq @ y_eq) + float(lp.b_ub @ y_ub) + float(sign * np.sum(bound_terms))
+    gap = _worst(
+        np.abs([primal_obj - dual_obj, sol.objective - primal_obj])
     ) / max(1.0, abs(primal_obj))
-    res["objective_gap"] = gap
 
-    failures = tuple(
-        name
-        for name, val, tol in (
-            ("primal_feasibility", primal, FEAS_TOL),
-            ("dual_feasibility", dual, DUAL_TOL),
-            ("complementary_slackness", cs, CS_TOL),
-            ("objective_gap", gap, GAP_TOL),
-        )
-        if not (val <= tol)
-    )
+    res = {
+        "primal_feasibility": primal,
+        "dual_feasibility": dual,
+        "complementary_slackness": cs,
+        "objective_gap": gap,
+    }
+    tols = (FEAS_TOL, DUAL_TOL, CS_TOL, GAP_TOL)
+    failures = tuple(name for (name, val), tol in zip(res.items(), tols) if not (val <= tol))
     return CertificateReport(not failures, res, failures)
 
 

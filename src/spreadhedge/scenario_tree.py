@@ -349,6 +349,14 @@ def _number(value, field: str) -> float:
     return float(value)
 
 
+def _finite(arr: np.ndarray, field: str) -> None:
+    """Reject the first non-finite entry: NaN passes every comparison a check
+    makes, so it would be certified."""
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValidationError(f"{field}[{bad[0]}] is {arr[bad[0]]}, not finite")
+
+
 def _object(value, field: str) -> dict:
     """A JSON object, whose items a document reader walks."""
     if not isinstance(value, dict):

@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .scenario_tree import ScenarioTree, _number, _object, _stop_above
+from .scenario_tree import ScenarioTree, _finite, _number, _object, _stop_above
 
 __all__ = [
     "Strategy",
@@ -82,9 +82,7 @@ class Strategy:
         initial = (float(self.initial[0]), float(self.initial[1]))
         parts = {"initial": np.array(initial), "buy": buy, "sell": sell, "consume": consume}
         for name, arr in parts.items():
-            bad = np.flatnonzero(~np.isfinite(arr))
-            if bad.size:
-                raise ValidationError(f"strategy {name}[{bad[0]}] is {arr[bad[0]]}, not finite")
+            _finite(arr, f"strategy {name}")
         for arr in (buy, sell, consume):
             arr.setflags(write=False)
         object.__setattr__(self, "initial", initial)

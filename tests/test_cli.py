@@ -77,6 +77,17 @@ class TestPayoffExpr:
             with pytest.raises(ParseError):
                 parse_payoff_expr(expr)
 
+    @pytest.mark.parametrize(
+        "expr",
+        ["+".join(["S"] * 5001), "(" * 2000 + "S" + ")" * 2000, "-" * 3000 + "S"],
+        ids=["long-sum", "nested-parens", "unary-minus-run"],
+    )
+    def test_too_deep_is_parse_error(self, expr):
+        # used to raise RecursionError: the sum when called, the others
+        # while parsing
+        with pytest.raises(ParseError, match="^payoff expression nested too deeply$"):
+            parse_payoff_expr(expr)(100.0)
+
 
 class TestPriceCommand:
     def test_text_report(self, files, capsys):
@@ -619,6 +630,31 @@ class TestGenerationAndReport:
         assert main(argv + ["--lambda", "0.1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("spreadhedge: ") and ("JSON number" in err or "not finite" in err), err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-cps", "--cps", "nan.json"],
+            [
+                "variation-bound", "--strategy", "hedge.json", "--cps", "nan.json",
+                "--lambda-prime", "0.05", "--cap", "100",
+            ],
+            [
+                "concat-cps", "--cps", "nan.json", "--cps-global", "z.json",
+                "--lambda-n", "0.05", "--lambda-prime", "0.01", "--stop", "0",
+            ],
+        ],
+        ids=["verify-cps", "variation-bound", "concat-cps"],
+    )
+    def test_non_finite_price_system_is_input_error(self, files, capsys, argv):
+        # each used to reach the checks, where NaN passes every comparison,
+        # and exit 2
+        (files / "nan.json").write_text('{"z0": {"0": 1, "1": NaN, "2": 1}, "z1": {"0": 94, "1": 110, "2": 78}}')
+        argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+        assert main(argv + ["--tree", str(files / "b1.json"), "--lambda", "0.1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "spreadhedge: price system z0[1] is nan, not finite\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "argv, text, field",

@@ -15,6 +15,7 @@ from spreadhedge import (
     ShapeMismatch,
     Strategy,
     UnverifiedInput,
+    ValidationError,
     concatenate_cps,
     expected_claim,
     generate_random_tree,
@@ -110,6 +111,15 @@ class TestVerify:
         assert ConsistentPriceSystem.from_maps(b1, {0: 1.0}, {0: 94.0}).support.tolist() == [True, False, False]
         with pytest.raises(ShapeMismatch):
             ConsistentPriceSystem(z, z, [True, False])
+
+    @pytest.mark.parametrize("field", ["z0", "z1"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, b1, field, value):
+        # z0 = [1, nan, 1] used to pass supermartingale_check
+        arrays = {"z0": np.ones(3), "z1": b1.price.copy()}
+        arrays[field][1] = value
+        with pytest.raises(ValidationError, match=rf"^price system {field}\[1\] is {value}, not finite$"):
+            ConsistentPriceSystem(**arrays)
 
 
 class TestShadowPrice:
@@ -298,6 +308,14 @@ class TestStoppedMartingale:
         assert stopped_martingale_check(b1, [5.0, 5.0, 5.0], None, 5.0)
         with pytest.raises(TypeError):
             stopped_martingale_check(b1, {0: 5.0, 1: 5.0, 2: 5.0}, {1, 2}, 5.0)
+
+    def test_non_finite_input_rejected(self, b1, cps_b1):
+        # NaN passes every comparison: both calls used to return True
+        with pytest.raises(ValidationError, match=r"^process x\[0\] is nan, not finite$"):
+            stopped_martingale_check(b1, [np.nan, 1.0, 2.0], {1}, 5.0)
+        for bound in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match=f"^bound must be finite, got {bound}$"):
+                stopped_martingale_check(b1, cps_b1.z1, {1, 2}, bound)
 
     def test_drifted_prices_fail(self):
         doc = {

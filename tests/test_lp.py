@@ -148,6 +148,26 @@ class TestSolveBasics:
         with pytest.raises(ValidationError):
             LinearProgram(c=[1.0], lower=[2.0], upper=[1.0])
 
+    @pytest.mark.parametrize("name", ["c", "A_eq", "A_ub"])
+    @pytest.mark.parametrize("value", [INF, -INF, np.nan])
+    def test_non_finite_coefficient_rejected(self, name, value):
+        # an infinite coefficient used to reach the simplex and end in a
+        # NumericalBreakdown on the objective gap
+        arrays = {"c": [1.0, 1.0], "A_eq": [[1.0, 1.0]], "A_ub": [[1.0, -1.0]]}
+        arrays[name] = np.array(arrays[name])
+        arrays[name].flat[0] = value
+        with pytest.raises(ValidationError, match=f"^{name} must be finite$"):
+            LinearProgram(**arrays, b_eq=[1.0], b_ub=[0.0])
+
+    def test_rows_all_redundant(self):
+        # phase 1 drops the empty row, so phase 2 runs on a program without
+        # rows; its verdicts come from the same ratio test as any other
+        for c, status in (([1.0, 2.0], "optimal"), ([1.0, -2.0], "unbounded")):
+            sol = solve(LinearProgram(c=c, A_eq=[[0.0, 0.0]], b_eq=[0.0]))
+            assert (sol.status, sol.iterations) == (status, 0)
+        sol = solve(LinearProgram(c=[1.0, 2.0], A_eq=[[0.0, 0.0]], b_eq=[0.0]))
+        assert sol.x.tolist() == [0.0, 0.0] and sol.y_eq.tolist() == [0.0]
+
     def test_debug_dump_lists_rows_and_bounds(self):
         text = two_var_hedge_lp().dump()
         assert text.startswith("sense minimize")
@@ -192,6 +212,29 @@ class TestCertificate:
         report = verify_certificate(lp, sol)
         assert not report.ok
 
+
+    @pytest.mark.parametrize(
+        "field, families",
+        [
+            ("x", {"primal_feasibility", "complementary_slackness", "objective_gap"}),
+            ("y_ub", {"dual_feasibility", "complementary_slackness", "objective_gap"}),
+            ("objective", {"objective_gap"}),
+        ],
+    )
+    def test_nan_residual_fails_its_family(self, field, families):
+        # Python's max(0.0, nan) is 0.0: these families used to read 0.0,
+        # and a NaN objective passed the certificate
+        lp = two_var_hedge_lp()
+        sol = solve(lp)
+        if field == "objective":
+            sol.objective = float("nan")
+        else:
+            setattr(sol, field, getattr(sol, field).copy())
+            getattr(sol, field)[0] = np.nan
+        report = verify_certificate(lp, sol)
+        nan = {name for name, val in report.residuals.items() if np.isnan(val)}
+        assert nan == families
+        assert set(report.failures) == families
 
     def test_solve_carries_the_report_it_checked(self):
         from tests.test_acceptance import suite_instance  # that module imports this one
