@@ -155,10 +155,7 @@ def verify_cps(
     the check runs on the market truncated at that stopping time.
     """
     lam = _rate(lam)
-    if cps.node_count != tree.node_count:
-        raise ShapeMismatch(
-            f"price system indexes {cps.node_count} nodes, tree has {tree.node_count}"
-        )
+    tree.check_size("price system", cps.node_count)
     above = _stop_above(tree, stop)
     required = (above < 0) | (above == np.arange(tree.node_count))
     if (required & ~cps.support).any():
@@ -205,8 +202,7 @@ def shadow_price(tree: ScenarioTree, cps: ConsistentPriceSystem, node: int) -> f
     """The implied frictionless price ``z1/z0``; where the density vanishes it
     is defined to be the market price."""
     node = tree.check_node(node)
-    if cps.node_count != tree.node_count:
-        raise ShapeMismatch("price system does not index this tree")
+    tree.check_size("price system", cps.node_count)
     z0 = cps.z0[node]
     if z0 > 0.0:
         return float(cps.z1[node] / z0)
@@ -215,6 +211,7 @@ def shadow_price(tree: ScenarioTree, cps: ConsistentPriceSystem, node: int) -> f
 
 def expected_claim(tree: ScenarioTree, cps: ConsistentPriceSystem, claim: ClaimSpec) -> float:
     """Expected payoff under the pricing measure: sum of P(leaf) z0(leaf) X(leaf)."""
+    tree.check_size("price system", cps.node_count)
     x = claim.payoff_vector(tree)
     leaves = tree.leaves
     return float(np.sum(tree.path_prob[leaves] * cps.z0[leaves] * x))
@@ -228,6 +225,7 @@ def polar_pairing(tree: ScenarioTree, lam, cps: ConsistentPriceSystem, strategy:
     never beats the shadow price.
     """
     _rate(lam)
+    tree.check_size("price system", cps.node_count)
     path = portfolio_path(tree, lam, strategy)
     leaves = tree.leaves
     return float(
@@ -273,8 +271,7 @@ def supermartingale_check(
     with the deficit in these z0-weighted units.
     """
     lam = _rate(lam)
-    if cps.node_count != tree.node_count:
-        raise ShapeMismatch("price system does not index this tree")
+    tree.check_size("price system", cps.node_count)
     return _supermartingale(tree, portfolio_path(tree, lam, strategy), cps)
 
 

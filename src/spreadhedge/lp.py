@@ -12,12 +12,12 @@ objective stalls the rule switches to Bland's anti-cycling rule, which
 guarantees finite termination.  Everything is deterministic for a fixed
 input.
 
-Every optimal solution carries dual multipliers and reduced costs.  The
-``verify_certificate`` routine recomputes all four certificate residuals --
-primal feasibility, dual feasibility, complementary slackness, and the
-objective gap -- independently of the solver's internals.  Residuals are
-scaled by ``max(1, |reference|)`` so the stated tolerances behave uniformly
-across problem scales.
+Every optimal solution carries dual multipliers.  The ``verify_certificate``
+routine derives the reduced costs from them and recomputes all four
+certificate residuals -- primal feasibility, dual feasibility, complementary
+slackness, and the objective gap -- independently of the solver's internals.
+Residuals are scaled by ``max(1, |reference|)`` so the stated tolerances
+behave uniformly across problem scales.
 
 Sign conventions (minimization): inequality rows are ``A_ub x <= b_ub`` with
 multipliers ``y_ub <= 0``; equality multipliers are free; the reduced cost of
@@ -107,6 +107,8 @@ class LinearProgram:
                 raise ValidationError(f"{name} must be finite")
         if np.isnan(lower).any() or np.isnan(upper).any():
             raise ValidationError("bounds contain NaN")
+        if (lower == np.inf).any() or (upper == -np.inf).any():
+            raise ValidationError("a lower bound of +inf or an upper bound of -inf admits no point")
         if (lower > upper).any():
             j = int(np.argmax(lower > upper))
             raise ValidationError(f"variable {j} has lower bound above upper bound")
@@ -152,7 +154,6 @@ class LpSolution:
     objective: float = float("nan")
     y_eq: np.ndarray | None = None
     y_ub: np.ndarray | None = None
-    reduced_costs: np.ndarray | None = None
     iterations: int = 0
     certificate: CertificateReport | None = None
 
@@ -434,9 +435,9 @@ def solve(lp: LinearProgram) -> LpSolution:
     """Solve the LP and return a certified solution.
 
     Deterministic for a fixed input.  For ``status == "optimal"`` the returned
-    duals and reduced costs pass ``verify_certificate``; when they do not
-    (numerical loss of control) the solver raises ``NumericalBreakdown``
-    rather than returning a silently wrong answer.
+    point and duals pass ``verify_certificate``; when they do not (numerical
+    loss of control) the solver raises ``NumericalBreakdown`` rather than
+    returning a silently wrong answer.
     """
     sign = _SENSES[lp.objective_sense]
     sf = _standard_form(lp, sign)
@@ -451,7 +452,6 @@ def solve(lp: LinearProgram) -> LpSolution:
     y_eq = sign * y_full[: sf.n_eq]
     y_ub = sign * y_full[sf.n_eq : sf.n_eq + sf.n_ub]
 
-    reduced = lp.c - lp.A_eq.T @ y_eq - lp.A_ub.T @ y_ub
     objective = float(lp.c @ x)
     sol = LpSolution(
         status="optimal",
@@ -459,7 +459,6 @@ def solve(lp: LinearProgram) -> LpSolution:
         objective=objective,
         y_eq=y_eq,
         y_ub=y_ub,
-        reduced_costs=reduced,
         iterations=iters,
     )
     sol.certificate = verify_certificate(lp, sol)
@@ -479,13 +478,16 @@ def _worst(*terms: np.ndarray) -> float:
 def verify_certificate(lp: LinearProgram, sol: LpSolution) -> CertificateReport:
     """Recompute the four optimality residuals from scratch.
 
+    The reduced costs ``r = c - A_eq'y_eq - A_ub'y_ub`` are derived from the
+    multipliers, so multipliers off stationarity fail dual feasibility.
     Residuals are scaled by ``max(1, |reference|)`` (right-hand side, cost,
     or objective).  Returns a report with the worst residual per family and
     the list of failed families; a NaN residual fails its family.
     """
     if sol.status != "optimal":
         return CertificateReport(False, {}, ("status_not_optimal",))
-    x, y_eq, y_ub, r = sol.x, sol.y_eq, sol.y_ub, sol.reduced_costs
+    x, y_eq, y_ub = sol.x, sol.y_eq, sol.y_ub
+    r = lp.c - lp.A_eq.T @ y_eq - lp.A_ub.T @ y_ub
     sign = _SENSES[lp.objective_sense]
     fin_lo = np.isfinite(lp.lower)
     fin_up = np.isfinite(lp.upper)

@@ -11,12 +11,12 @@ discrete time and are not modeled.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import NotAnAntichain, ParseError, UnknownNode, ValidationError
+from .errors import NotAnAntichain, ParseError, ShapeMismatch, UnknownNode, ValidationError
 
 __all__ = [
     "ScenarioTree",
@@ -167,6 +167,11 @@ class ScenarioTree:
             raise UnknownNode(f"node {node} not in tree with {self.node_count} nodes")
         return node
 
+    def check_size(self, what: str, count: int) -> None:
+        """Raise ``ShapeMismatch`` unless ``what``, indexing ``count`` nodes, fits this tree."""
+        if count != self.node_count:
+            raise ShapeMismatch(f"{what} indexes {count} nodes, tree has {self.node_count}")
+
     def path_sum(self, values) -> np.ndarray:
         """Sum of ``values`` over the root-to-node path, the node included.
 
@@ -254,7 +259,9 @@ _BOUND_KINDS = ("constant", "stock_bond")
 
 @dataclass(frozen=True)
 class ClaimSpec:
-    """Contingent claim paying ``payoffs[leaf]`` bonds at the horizon.
+    """Contingent claim paying ``payoffs[leaf]`` bonds at the horizon.  Every
+    payoff must be finite; leaf ids and payoffs are kept as read-only arrays
+    in id order, so resolving the claim on a tree is one comparison.
 
     ``bound_kind`` records which lower-bound hypothesis the claim is declared
     under: ``"constant"`` (uniform bond floor) or ``"stock_bond"`` (floor of
@@ -264,31 +271,34 @@ class ClaimSpec:
 
     payoffs: Mapping[int, float]
     bound_kind: str = "constant"
+    _leaves: np.ndarray = field(init=False, repr=False, compare=False)
+    _x: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bound_kind not in _BOUND_KINDS:
             raise ValidationError(f"unknown bound kind {self.bound_kind!r}")
-        object.__setattr__(
-            self, "payoffs", {int(k): float(v) for k, v in self.payoffs.items()}
-        )
-
-    def validate(self, tree: ScenarioTree) -> None:
-        leaves = set(tree.leaves.tolist())
-        given = set(self.payoffs)
-        if given != leaves:
-            missing = sorted(leaves - given)
-            extra = sorted(given - leaves)
-            raise ValidationError(
-                f"claim must cover exactly the leaves; missing {missing}, extra {extra}"
-            )
-        for k, v in self.payoffs.items():
-            if not np.isfinite(v):
-                raise ValidationError(f"claim payoff at leaf {k} is not finite")
+        payoffs = {int(k): float(v) for k, v in self.payoffs.items()}
+        # an id beyond int64 makes an object array, which matches no tree's leaves
+        leaves, x = np.array(list(payoffs)), np.fromiter(payoffs.values(), float)
+        bad = np.flatnonzero(~np.isfinite(x))
+        if bad.size:
+            raise ValidationError(f"claim payoff at leaf {leaves[bad[0]]} is not finite")
+        object.__setattr__(self, "payoffs", payoffs)
+        by_id = np.argsort(leaves)
+        for name, arr in (("_leaves", leaves[by_id]), ("_x", x[by_id])):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def payoff_vector(self, tree: ScenarioTree) -> np.ndarray:
-        """Payoffs in the order of ``tree.leaves``."""
-        self.validate(tree)
-        return np.array([self.payoffs[int(l)] for l in tree.leaves])
+        """Payoffs in the order of ``tree.leaves``, read-only.  A claim that
+        does not cover exactly the leaves is a ``ValidationError``."""
+        if not np.array_equal(self._leaves, tree.leaves):
+            leaves, given = set(tree.leaves.tolist()), set(self.payoffs)
+            raise ValidationError(
+                f"claim must cover exactly the leaves; missing {sorted(leaves - given)}, "
+                f"extra {sorted(given - leaves)}"
+            )
+        return self._x
 
     def lower_bound(self, tree: ScenarioTree) -> float:
         """Smallest M >= 0 such that the declared floor holds at every leaf."""

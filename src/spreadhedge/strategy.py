@@ -149,13 +149,6 @@ class Strategy:
         return cls.from_trades(tree, trades, initial)
 
 
-def _check_shape(tree: ScenarioTree, strategy: Strategy) -> None:
-    if strategy.node_count != tree.node_count:
-        raise ShapeMismatch(
-            f"strategy indexes {strategy.node_count} nodes, tree has {tree.node_count}"
-        )
-
-
 @dataclass(frozen=True)
 class PortfolioPath:
     """Post-trade holdings and cumulative trade decompositions along each path.
@@ -180,7 +173,7 @@ class PortfolioPath:
 def portfolio_path(tree: ScenarioTree, lam, strategy: Strategy) -> PortfolioPath:
     """Derive holdings from trades at friction ``lam``."""
     lam = _rate(lam)
-    _check_shape(tree, strategy)
+    tree.check_size("strategy", strategy.node_count)
     delta0 = (
         -tree.price * strategy.buy
         + (1.0 - lam) * tree.price * strategy.sell
@@ -219,7 +212,7 @@ def is_self_financing(tree: ScenarioTree, lam, strategy: Strategy) -> SelfFinanc
     their residual (the negative entry).
     """
     _rate(lam)
-    _check_shape(tree, strategy)
+    tree.check_size("strategy", strategy.node_count)
     violations = []
     for name, arr in (("buy", strategy.buy), ("sell", strategy.sell), ("consume", strategy.consume)):
         bad = np.flatnonzero(arr < -1e-9)

@@ -25,7 +25,6 @@ from .errors import (
     CertificateFailure,
     DualInfeasible,
     PreconditionViolated,
-    ShapeMismatch,
     ValidationError,
 )
 from .lp import LinearProgram, LpSolution, solve
@@ -228,12 +227,9 @@ def extract_strategy(
     worst = min(buy.min(initial=0.0), sell.min(initial=0.0), consume.min(initial=0.0))
     if worst < -1e-9:
         raise CertificateFailure(f"extracted trades violate nonnegativity by {-worst}")
-    strat = Strategy(
+    return Strategy(
         (x0, 0.0), np.maximum(buy, 0.0), np.maximum(sell, 0.0), np.maximum(consume, 0.0)
     )
-    if strat.node_count != tree.node_count:
-        raise ShapeMismatch("strategy length does not match tree")
-    return strat
 
 
 def dual_cps_from_primal(tree: ScenarioTree, solution: LpSolution) -> ConsistentPriceSystem:

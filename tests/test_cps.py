@@ -80,6 +80,17 @@ class TestVerify:
         with pytest.raises(ShapeMismatch):
             verify_cps(other, 0.1, cps_b1)
 
+    def test_every_check_states_a_mismatch_one_way(self, b1, cps_b1):
+        other = generate_random_tree(1, depth=2, max_branching=2)
+        calls = (
+            lambda: verify_cps(other, 0.1, cps_b1),
+            lambda: shadow_price(other, cps_b1, 0),
+            lambda: supermartingale_check(other, 0.1, cps_b1, Strategy.zero(other)),
+        )
+        for call in calls:
+            with pytest.raises(ShapeMismatch, match="^price system indexes 3 nodes, tree has 7$"):
+                call()
+
     def test_json_round_trip(self, b1, cps_b1):
         back = ConsistentPriceSystem.from_json(b1, cps_b1.to_json())
         assert np.allclose(back.z0, cps_b1.z0)
@@ -152,6 +163,12 @@ class TestExpectedClaim:
     def test_zero_claim(self, b1, cps_b1):
         assert expected_claim(b1, cps_b1, ClaimSpec({1: 0.0, 2: 0.0})) == 0.0
 
+    def test_price_system_of_another_tree_rejected(self, b1, c1):
+        # read through the leaf ids, this 15-node system used to price the call at 15.44
+        other = generate_random_tree(1, depth=3, max_branching=2)
+        with pytest.raises(ShapeMismatch, match="^price system indexes 15 nodes, tree has 3$"):
+            expected_claim(b1, random_cps(other, 0.1, 1), c1)
+
 
 class TestPolarPairing:
     def test_do_nothing(self, b1, cps_b1):
@@ -164,6 +181,12 @@ class TestPolarPairing:
     def test_bid_strategy(self, b1, cps_b1):
         s = make_bid_strategy(b1, 0.1, {0}, {0: 1.0})
         assert abs(polar_pairing(b1, 0.1, cps_b1, s) - (-4.0)) < 1e-12
+
+    def test_price_system_of_another_tree_rejected(self, b1):
+        # read through the leaf ids, this 15-node system used to pair to 0.0
+        other = generate_random_tree(1, depth=3, max_branching=2)
+        with pytest.raises(ShapeMismatch, match="^price system indexes 15 nodes, tree has 3$"):
+            polar_pairing(b1, 0.1, random_cps(other, 0.1, 1), Strategy.zero(b1))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(1, 100_000))

@@ -148,6 +148,12 @@ class TestSolveBasics:
         with pytest.raises(ValidationError):
             LinearProgram(c=[1.0], lower=[2.0], upper=[1.0])
 
+    @pytest.mark.parametrize("lower, upper", [(INF, INF), (-INF, -INF)])
+    def test_inverted_infinite_bound_rejected(self, lower, upper):
+        # read as a free variable, such a program used to solve as "unbounded"
+        with pytest.raises(ValidationError, match=r"^a lower bound of \+inf or an upper bound of -inf admits no point$"):
+            LinearProgram(c=[1.0, 1.0], lower=[0.0, lower], upper=[INF, upper])
+
     @pytest.mark.parametrize("name", ["c", "A_eq", "A_ub"])
     @pytest.mark.parametrize("value", [INF, -INF, np.nan])
     def test_non_finite_coefficient_rejected(self, name, value):
@@ -212,6 +218,15 @@ class TestCertificate:
         report = verify_certificate(lp, sol)
         assert not report.ok
 
+    def test_multipliers_off_stationarity_fail(self):
+        # the reduced costs used to be the solver's own vector, so these
+        # multipliers passed with every residual 0.0
+        lp = two_var_hedge_lp()
+        sol = solve(lp)
+        sol.y_ub = sol.y_ub.copy()
+        sol.y_ub[1] = -5.0
+        report = verify_certificate(lp, sol)
+        assert not report.ok and "dual_feasibility" in report.failures
 
     @pytest.mark.parametrize(
         "field, families",

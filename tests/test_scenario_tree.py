@@ -517,8 +517,25 @@ class TestClaimSpec:
         assert abs(claim.lower_bound(b1) - 1.0) < 1e-15
 
     def test_missing_leaf_rejected(self, b1):
-        with pytest.raises(ValidationError):
-            ClaimSpec({1: 20.0}).validate(b1)
+        with pytest.raises(ValidationError, match=r"^claim must cover exactly the leaves; missing \[2\], extra \[\]$"):
+            ClaimSpec({1: 20.0}).payoff_vector(b1)
+
+    def test_id_beyond_int64_is_an_extra_leaf(self, b1):
+        claim = ClaimSpec({1: 20.0, 2: 0.0, 10**20: 1.0})
+        with pytest.raises(ValidationError, match=r"missing \[\], extra \[100000000000000000000\]$"):
+            claim.payoff_vector(b1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payoff_rejected_when_built(self, value):
+        # used to pass until the claim met a tree
+        with pytest.raises(ValidationError, match="^claim payoff at leaf 2 is not finite$"):
+            ClaimSpec({1: 20.0, 2: value})
+        with pytest.raises(ValidationError, match="^claim payoff at leaf 2 is not finite$"):
+            ClaimSpec.from_json({"payoffs": {"2": value, "1": 20.0}})
+
+    def test_payoffs_are_a_read_only_vector_in_leaf_order(self, b1):
+        x = ClaimSpec({2: 0.0, 1: 20.0}).payoff_vector(b1)
+        assert x.tolist() == [20.0, 0.0] and not x.flags.writeable
 
     def test_round_trip(self, c1):
         assert ClaimSpec.from_json(c1.to_json()) == c1
