@@ -241,13 +241,16 @@ def _fmt_bool(v) -> str:
     return "true" if v else "false"
 
 
-def emit_report(report, fmt: str) -> str:
+def emit_report(report, fmt: str, grid: dict | None = None) -> str:
     """Render one report or a curve of reports deterministically.
 
     ``report`` is a ``SuperHedgeReport``, a list of them (a friction curve),
     or an equivalent plain dict previously produced by the JSON format.
     Reports with no certificates are rejected, and so are plain dicts
     lacking a key the renderers read or holding a value of the wrong type.
+    ``grid``, the ``--check-lambdas`` verdicts ``{repr(lambda'): feasible}``,
+    follows as text lines or as the JSON key ``cps_feasibility_grid`` (a
+    curve then sits under ``curve``); CSV leaves it out.
     """
     reports = report if isinstance(report, list) else [report]
     if not reports:
@@ -273,6 +276,10 @@ def emit_report(report, fmt: str) -> str:
 
     if fmt == "json":
         payload = dicts[0] if len(dicts) == 1 else dicts
+        if grid and len(dicts) == 1:
+            payload = {**payload, "cps_feasibility_grid": grid}
+        elif grid:
+            payload = {"curve": payload, "cps_feasibility_grid": grid}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     rows = []
@@ -313,27 +320,14 @@ def emit_report(report, fmt: str) -> str:
             for key in CSV_COLUMNS[6:]:
                 lines.append(f"  {key[5:]:28s} {row[key]}")
             lines.append("")
-        return "\n".join(lines)
+        text = "\n".join(lines)
+        if grid:
+            text += "price-system feasibility grid:\n"
+            for k in sorted(grid, key=float):
+                text += f"  lambda'={k}: {'feasible' if grid[k] else 'infeasible'}\n"
+        return text
 
     raise ValidationError(f"unknown format {fmt!r}")
-
-
-def _emit_with_grid(report, grid: dict, fmt: str) -> str:
-    """``emit_report`` plus the ``--check-lambdas`` grid ``{repr(lambda'): feasible}``
-    as text lines or the JSON key ``cps_feasibility_grid``; CSV leaves it out."""
-    text = emit_report(report, fmt)
-    if grid and fmt == "text":
-        text += "price-system feasibility grid:\n"
-        for k in sorted(grid, key=float):
-            text += f"  lambda'={k}: {'feasible' if grid[k] else 'infeasible'}\n"
-    elif grid and fmt == "json":
-        payload = json.loads(text)
-        if isinstance(payload, dict):
-            payload["cps_feasibility_grid"] = grid
-        else:
-            payload = {"curve": payload, "cps_feasibility_grid": grid}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    return text
 
 
 def _write_output(args: argparse.Namespace, text: str) -> None:
@@ -379,7 +373,7 @@ def _cmd_price(args: argparse.Namespace) -> int:
     cap = _cap(args)
     reports = [superhedge_price(tree, lam, claim, cap) for lam in args.lambdas]
     grid = {repr(lam_check): has_cps(tree, lam_check) for lam_check in args.check_lambdas}
-    _write_output(args, _emit_with_grid(reports if len(reports) > 1 else reports[0], grid, args.fmt))
+    _write_output(args, emit_report(reports, args.fmt, grid))
     return 0 if all(r.all_certified() for r in reports) else 2
 
 
@@ -496,7 +490,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise ValidationError(f"'cps_feasibility_grid' must be an object, got {type(grid).__name__}")
     for k in grid:
         _numeric("'cps_feasibility_grid' key")(k)  # the text form sorts the keys as numbers
-    _write_output(args, _emit_with_grid(payload, grid, args.fmt))
+    _write_output(args, emit_report(payload, args.fmt, grid))
     return 0
 
 

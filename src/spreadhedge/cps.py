@@ -31,7 +31,7 @@ from .errors import (
     UnverifiedInput,
     ValidationError,
 )
-from .scenario_tree import ClaimSpec, ScenarioTree, _finite, _number, _object, _stop_above
+from .scenario_tree import ClaimSpec, ScenarioTree, _finite, _node_map, _number, _stop_above
 from .strategy import PortfolioPath, Strategy, _rate, portfolio_path
 
 __all__ = [
@@ -104,11 +104,11 @@ class ConsistentPriceSystem:
         mask = np.zeros(n, dtype=bool)
         keys = set(z0) | set(z1)
         for k in keys:
-            i = tree.check_node(int(k))
-            if int(k) not in z0 or int(k) not in z1:
+            i = tree.check_node(k)
+            if k not in z0 or k not in z1:
                 raise ShapeMismatch(f"node {k} present in only one of z0/z1")
-            a0[i] = float(z0[int(k)])
-            a1[i] = float(z1[int(k)])
+            a0[i] = float(z0[k])
+            a1[i] = float(z1[k])
             mask[i] = True
         return cls(a0, a1, mask)
 
@@ -122,8 +122,8 @@ class ConsistentPriceSystem:
     @classmethod
     def from_json(cls, tree: ScenarioTree, obj: dict) -> "ConsistentPriceSystem":
         try:
-            z0 = {int(k): _number(v, f"z0 at node {k}") for k, v in _object(obj["z0"], "z0").items()}
-            z1 = {int(k): _number(v, f"z1 at node {k}") for k, v in _object(obj["z1"], "z1").items()}
+            z0 = _node_map(obj["z0"], "z0", lambda k, v: _number(v, f"z0 at node {k}"))
+            z1 = _node_map(obj["z1"], "z1", lambda k, v: _number(v, f"z1 at node {k}"))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad price-system document: {exc}") from exc
         return cls.from_maps(tree, z0, z1)
@@ -353,8 +353,9 @@ def stopped_martingale_check(
     """
     tol = 1e-10
     x = np.asarray(x, dtype=float)
-    if x.shape != (tree.node_count,):
-        raise ShapeMismatch("process must assign a value to every node")
+    if x.ndim != 1:
+        raise ShapeMismatch(f"process must be a node-indexed vector, got shape {x.shape}")
+    tree.check_size("process", x.size)
     _finite(x, "process x")
     if not np.isfinite(bound):
         raise ValidationError(f"bound must be finite, got {bound}")

@@ -11,6 +11,7 @@ discrete time and are not modeled.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -162,7 +163,11 @@ class ScenarioTree:
             arr.setflags(write=False)
 
     def check_node(self, node: int) -> int:
-        node = int(node)
+        """``node`` as an ``int``: a Python or numpy integer naming a node."""
+        try:
+            node = operator.index(node)
+        except TypeError:
+            raise UnknownNode(f"node {node!r} is not an integer id") from None
         if not (0 <= node < self.node_count):
             raise UnknownNode(f"node {node} not in tree with {self.node_count} nodes")
         return node
@@ -317,10 +322,9 @@ class ClaimSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "ClaimSpec":
         try:
-            payoffs = {
-                int(k): _number(v, f"payoff of leaf {k}")
-                for k, v in _object(obj["payoffs"], "payoffs").items()
-            }
+            payoffs = _node_map(
+                obj["payoffs"], "payoffs", lambda k, v: _number(v, f"payoff of leaf {k}")
+            )
             kind = obj.get("bound", "constant")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad claim document: {exc}") from exc
@@ -372,6 +376,22 @@ def _object(value, field: str) -> dict:
     if not isinstance(value, dict):
         raise TypeError(f"{field} must be a JSON object, got {value!r}")
     return value
+
+
+def _node_map(value, field: str, read) -> dict:
+    """The JSON object ``value`` keyed by node ids, as ``{id: read(key, item)}``.
+
+    A key must read back as itself, ``str(int(key)) == key``: ``"01"`` or
+    ``"1_0"`` would name the node that ``"1"`` or ``"10"`` names, and the
+    later of the two would silently win.
+    """
+    out = {}
+    for key, item in _object(value, field).items():
+        node = int(key)
+        if str(node) != key:
+            raise ValueError(f"{field} key {key!r} must be written {str(node)!r}")
+        out[node] = read(key, item)
+    return out
 
 
 def load_tree(source) -> ScenarioTree:

@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .scenario_tree import ScenarioTree, _finite, _number, _object, _stop_above
+from .scenario_tree import ScenarioTree, _finite, _node_map, _number, _object, _stop_above
 
 __all__ = [
     "Strategy",
@@ -112,7 +112,7 @@ class Strategy:
         n = tree.node_count
         buy, sell, consume = np.zeros(n), np.zeros(n), np.zeros(n)
         for node, t in trades.items():
-            node = tree.check_node(int(node))
+            node = tree.check_node(node)
             for key in t:
                 if key not in ("buy", "sell", "consume"):
                     raise ParseError(f"unknown trade key {key!r} at node {node}")
@@ -137,13 +137,14 @@ class Strategy:
     def from_json(cls, tree: ScenarioTree, obj: dict) -> "Strategy":
         try:
             initial = tuple(_number(obj["initial"][i], f"initial[{i}]") for i in (0, 1))
-            trades = {
-                int(k): {
+            trades = _node_map(
+                obj.get("trades", {}),
+                "trades",
+                lambda k, v: {
                     kk: _number(vv, f"{kk} at node {k}")
                     for kk, vv in _object(v, f"trade at node {k}").items()
-                }
-                for k, v in _object(obj.get("trades", {}), "trades").items()
-            }
+                },
+            )
         except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise ParseError(f"bad strategy document: {exc}") from exc
         return cls.from_trades(tree, trades, initial)
@@ -188,8 +189,7 @@ def portfolio_path(tree: ScenarioTree, lam, strategy: Strategy) -> PortfolioPath
     # the net position from the gross legs, so that phi1 - y0 == up1 - down1
     # holds exactly whenever adding y0 is exact (always for y0 = 0)
     phi1 = y0 + (up1 - down1)
-    long, short = np.maximum(phi1, 0.0), np.maximum(-phi1, 0.0)
-    liquidation = phi0 + long * (1.0 - lam) * tree.price - short * tree.price
+    liquidation = liquidate(phi0, phi1, tree.price, lam)
     return PortfolioPath(phi0, phi1, up0, down0, up1, down1, delta0, liquidation)
 
 
@@ -222,10 +222,11 @@ def is_self_financing(tree: ScenarioTree, lam, strategy: Strategy) -> SelfFinanc
     return SelfFinancingCheck(not violations, tuple(violations))
 
 
-def liquidate(phi0: float, phi1: float, price: float, lam) -> float:
-    """Bond value of closing the position: longs sell at the bid, shorts cover at the ask."""
+def liquidate(phi0, phi1, price, lam):
+    """Bond value of closing the position, elementwise: longs sell at the bid,
+    shorts cover at the ask."""
     lam = _rate(lam)
-    return phi0 + max(phi1, 0.0) * (1.0 - lam) * price - max(-phi1, 0.0) * price
+    return phi0 + np.maximum(phi1, 0.0) * (1.0 - lam) * price - np.maximum(-phi1, 0.0) * price
 
 
 def liquidation_values(tree: ScenarioTree, lam, strategy: Strategy) -> np.ndarray:

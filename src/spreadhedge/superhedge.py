@@ -40,8 +40,6 @@ from .strategy import (
 )
 
 __all__ = [
-    "PrimalVariableMap",
-    "DualVariableMap",
     "SuperHedgeReport",
     "build_primal",
     "build_dual",
@@ -56,51 +54,28 @@ __all__ = [
 GAP_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class PrimalVariableMap:
-    """Column layout of the hedging LP: the initial endowment plus per-node
-    trades.  Rows: leaf flat-stock equalities; then leaf budget inequalities,
-    and with a bounded cap the bid-marked and the ask-marked floor rows of
-    every node, all in node order."""
-
-    x0: int
-    buy: np.ndarray
-    sell: np.ndarray
-    consume: np.ndarray
-
-
-@dataclass(frozen=True)
-class DualVariableMap:
-    z0: np.ndarray
-    z1: np.ndarray
-
-
-def build_primal(
-    tree: ScenarioTree, lam, claim: ClaimSpec, cap: AdmissibilityCap
-) -> tuple[LinearProgram, PrimalVariableMap]:
+def build_primal(tree: ScenarioTree, lam, claim: ClaimSpec, cap: AdmissibilityCap) -> LinearProgram:
     """Assemble the super-replication LP.
 
-    Variables: the free initial bond endowment, then nonnegative buy/sell
+    Columns, ``n`` per block for the tree's ``n`` nodes: ``[x0 | buy | sell
+    | consume]``, the free initial bond endowment, then nonnegative buy/sell
     share counts and bond consumption per node.  Holdings are implied by the
-    financing recursion started from (endowment, 0).  Each leaf contributes a
-    flat-stock equality.  Every inequality reads ``-phi0 - mark * phi1 <=
+    financing recursion started from (endowment, 0).  Rows: a flat-stock
+    equality per leaf.  Every inequality reads ``-phi0 - mark * phi1 <=
     -rhs`` at its node: the leaf budgets use mark 0 and rhs X (terminal bonds
     cover the payoff, consumption absorbs any overshoot).  The liquidation
     value is the smaller of the bid mark ``phi0 + (1-lam) S phi1`` and the ask
     mark ``phi0 + S phi1``, so a bounded cap adds a bid-marked row for every
-    node and then an ask-marked one, both with the cap's floor as rhs.
-    Objective: minimize the endowment.
+    node and then an ask-marked one, both with the cap's floor as rhs.  All
+    rows are in node order.  Objective: minimize the endowment.
     """
     lam = _rate(lam)
     x = claim.payoff_vector(tree)
     n = tree.node_count
     leaves = tree.leaves
 
-    x0 = 0
-    buy = np.arange(1, 1 + n)
-    sell = np.arange(1 + n, 1 + 2 * n)
-    consume = np.arange(1 + 2 * n, 1 + 3 * n)
     n_vars = 1 + 3 * n
+    buy, sell, consume = (slice(1 + k * n, 1 + (k + 1) * n) for k in range(3))
     names = ["x0"]
     names += [f"buy[{i}]" for i in range(n)]
     names += [f"sell[{i}]" for i in range(n)]
@@ -126,16 +101,16 @@ def build_primal(
     A_eq[:, sell] = np.where(on_path[leaves], -1.0, 0.0)
     # -phi0 - mark * phi1 <= -rhs in trade variables
     A_ub = np.zeros((nodes.size, n_vars))
-    A_ub[:, x0] = -1.0
+    A_ub[:, 0] = -1.0
     A_ub[:, buy] = np.where(rows, S - mark, 0.0)
     A_ub[:, sell] = np.where(rows, mark - bid, 0.0)
     A_ub[:, consume] = np.where(rows, 1.0, 0.0)
 
     c = np.zeros(n_vars)
-    c[x0] = 1.0
+    c[0] = 1.0
     lower = np.zeros(n_vars)
-    lower[x0] = -np.inf
-    lp = LinearProgram(
+    lower[0] = -np.inf
+    return LinearProgram(
         c=c,
         objective_sense="minimize",
         A_eq=A_eq,
@@ -146,19 +121,16 @@ def build_primal(
         upper=np.full(n_vars, np.inf),
         names=tuple(names),
     )
-    return lp, PrimalVariableMap(x0, buy, sell, consume)
 
 
-def build_dual(
-    tree: ScenarioTree, lam, claim: ClaimSpec
-) -> tuple[LinearProgram, DualVariableMap]:
+def build_dual(tree: ScenarioTree, lam, claim: ClaimSpec) -> LinearProgram:
     """Assemble the price-system LP.
 
-    Variables: the nonnegative pair (z0, z1) per node.  Constraints: the
-    density starts at 1, both components satisfy the martingale identity at
-    every branch point, and z1 lies in the spread band ``[(1-lam) S z0,
-    S z0]`` node-wise.  Objective: maximize the expected payoff
-    ``sum P(leaf) z0(leaf) X(leaf)``.
+    Columns, ``n`` per block: ``[z0 | z1]``, the nonnegative pair per node.
+    Constraints: the density starts at 1, both components satisfy the
+    martingale identity at every branch point, and z1 lies in the spread band
+    ``[(1-lam) S z0, S z0]`` node-wise.  Objective: maximize the expected
+    payoff ``sum P(leaf) z0(leaf) X(leaf)``.
     """
     lam = _rate(lam)
     x = claim.payoff_vector(tree)
@@ -195,7 +167,7 @@ def build_dual(
     c = np.zeros(n_vars)
     leaves = tree.leaves
     c[z0[leaves]] = tree.path_prob[leaves] * x
-    lp = LinearProgram(
+    return LinearProgram(
         c=c,
         objective_sense="maximize",
         A_eq=A_eq,
@@ -206,24 +178,22 @@ def build_dual(
         upper=np.full(n_vars, np.inf),
         names=tuple(names),
     )
-    return lp, DualVariableMap(z0, z1)
 
 
-def extract_strategy(
-    solution: LpSolution, vmap: PrimalVariableMap, tree: ScenarioTree
-) -> Strategy:
-    """Read the optimal trades out of a primal solution.
+def extract_strategy(solution: LpSolution, tree: ScenarioTree) -> Strategy:
+    """Read the optimal trades out of a solution of ``build_primal``'s LP for
+    ``tree``, whose ``1 + 3n`` columns are ``[x0 | buy | sell | consume]``.
 
-    Tiny negative trade values (solver dust) are clamped to zero; anything
-    beyond 1e-9 fails the financing certificate.
+    A solution of another size is a ``ShapeMismatch``.  Tiny negative trade
+    values (solver dust) are clamped to zero; anything beyond 1e-9 fails the
+    financing certificate.
     """
     if solution.status != "optimal":
         raise CertificateFailure(f"primal solution status is {solution.status}")
-    xs = solution.x
-    x0 = float(xs[vmap.x0])
-    buy = np.asarray(xs[vmap.buy], dtype=float)
-    sell = np.asarray(xs[vmap.sell], dtype=float)
-    consume = np.asarray(xs[vmap.consume], dtype=float)
+    count = (solution.x.size - 1) / 3
+    tree.check_size("hedging-LP solution", int(count) if count.is_integer() else count)
+    x0 = float(solution.x[0])
+    buy, sell, consume = np.asarray(solution.x[1:], dtype=float).reshape(3, tree.node_count)
     worst = min(buy.min(initial=0.0), sell.min(initial=0.0), consume.min(initial=0.0))
     if worst < -1e-9:
         raise CertificateFailure(f"extracted trades violate nonnegativity by {-worst}")
@@ -262,11 +232,11 @@ def has_cps(tree: ScenarioTree, lam) -> bool:
     strategy ends with unbounded free bonds, an arbitrage.
     """
     zero = ClaimSpec({int(l): 0.0 for l in tree.leaves})
-    lp, _ = build_primal(tree, lam, zero, AdmissibilityCap.unbounded())
+    lp = build_primal(tree, lam, zero, AdmissibilityCap.unbounded())
     return solve(lp).status != "unbounded"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuperHedgeReport:
     """Everything a pricing run certifies, in one place.
 
@@ -274,9 +244,7 @@ class SuperHedgeReport:
     ``|primal - dual|``; with an unbounded cap the gap is asserted to be at
     most 1e-7 before the report is returned.  ``cps`` is the optimal price
     system read off the unbounded-cap hedging LP's multipliers; its density
-    may vanish at some nodes.  ``cps_strict`` is ``cps`` when that is strict,
-    else None.  ``dual_status`` is the status of that pricing LP, which is
-    ``"optimal"`` on every returned report.
+    may vanish at some nodes.
     """
 
     lam: float
@@ -284,15 +252,21 @@ class SuperHedgeReport:
     bound_kind: str
     claim_bound: float
     primal_status: str
-    dual_status: str
     primal_value: float
     dual_value: float
     gap: float
     strategy: Strategy | None
-    cps: ConsistentPriceSystem | None
-    cps_strict: ConsistentPriceSystem | None
+    cps: ConsistentPriceSystem
     computed_cap_bound: float
     certificates: dict
+
+    # the pricing LP's status: a report exists only when it is optimal
+    dual_status = "optimal"
+
+    @property
+    def cps_strict(self) -> ConsistentPriceSystem | None:
+        """``cps`` when it is strict, else None."""
+        return self.cps if self.cps.strict else None
 
     def all_certified(self) -> bool:
         return all(bool(v) for v in self.certificates.values())
@@ -311,7 +285,7 @@ class SuperHedgeReport:
             "gap": self.gap,
             "computed_cap_bound": self.computed_cap_bound,
             "strategy": None if self.strategy is None else self.strategy.to_json(),
-            "cps": None if self.cps is None else self.cps.to_json(),
+            "cps": self.cps.to_json(),
             "cps_strict": None if self.cps_strict is None else self.cps_strict.to_json(),
             "certificates": {k: (None if v is None else bool(v)) for k, v in self.certificates.items()},
         }
@@ -372,8 +346,7 @@ def superhedge_price(
     lam = _rate(lam)
     cap = cap or AdmissibilityCap.unbounded()
 
-    pricing_lp, pricing_map = build_primal(tree, lam, claim, AdmissibilityCap.unbounded())
-    pricing_sol = solve(pricing_lp)
+    pricing_sol = solve(build_primal(tree, lam, claim, AdmissibilityCap.unbounded()))
     if pricing_sol.status == "unbounded":
         raise DualInfeasible(
             f"no consistent price system at rate {lam}: the tree admits arbitrage"
@@ -385,8 +358,7 @@ def superhedge_price(
     complementary_slackness = pricing_sol.certificate.ok
 
     if cap.is_bounded:
-        primal_lp, pmap = build_primal(tree, lam, claim, cap)
-        primal_sol = solve(primal_lp)
+        primal_sol = solve(build_primal(tree, lam, claim, cap))
         if primal_sol.status == "unbounded":
             raise CertificateFailure(
                 "capped program unbounded although the cap-free one is bounded"
@@ -394,11 +366,11 @@ def superhedge_price(
         if primal_sol.status == "optimal":
             complementary_slackness = complementary_slackness and primal_sol.certificate.ok
     else:
-        primal_sol, pmap = pricing_sol, pricing_map
+        primal_sol = pricing_sol
 
     optimal = primal_sol.status == "optimal"
     primal_value = primal_sol.objective if optimal else math.inf
-    strategy = extract_strategy(primal_sol, pmap, tree) if optimal else None
+    strategy = extract_strategy(primal_sol, tree) if optimal else None
     certificates, computed_bound = _certify(tree, lam, claim, strategy, cps, cap)
     certificates["complementary_slackness"] = complementary_slackness
 
@@ -412,13 +384,11 @@ def superhedge_price(
         bound_kind=claim.bound_kind,
         claim_bound=claim.lower_bound(tree),
         primal_status=primal_sol.status,
-        dual_status=pricing_sol.status,
         primal_value=primal_value,
         dual_value=dual_value,
         gap=gap,
         strategy=strategy,
         cps=cps,
-        cps_strict=cps if cps.strict else None,
         computed_cap_bound=computed_bound,
         certificates=certificates,
     )

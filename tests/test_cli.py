@@ -686,6 +686,35 @@ class TestGenerationAndReport:
         assert captured.err == "spreadhedge: payoff expression nested too deeply\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (
+                ["check-strategy", "--strategy"],
+                '{"initial": [0, 0], "trades": {"1": {"buy": 1}, "01": {"consume": 0}}}',
+                "bad strategy document: trades key '01' must be written '1'",
+            ),
+            (
+                ["price", "--claim"],
+                '{"payoffs": {"1": 20, "2": 0, "02": 50}}',
+                "bad claim document: payoffs key '02' must be written '2'",
+            ),
+            (
+                ["verify-cps", "--cps"],
+                '{"z0": {"0": 1, "1": 1, "2": 1, "00": 1}, "z1": {"0": 94, "1": 110, "2": 78, "00": 90}}',
+                "bad price-system document: z0 key '00' must be written '0'",
+            ),
+        ],
+        ids=["strategy", "claim", "cps"],
+    )
+    def test_node_named_twice_is_input_error(self, files, capsys, argv, text, message):
+        # each used to merge the two keys, the later one winning, and exit 0
+        (files / "twice.json").write_text(text)
+        argv = [*argv, str(files / "twice.json"), "--tree", str(files / "b1.json"), "--lambda", "0.1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"spreadhedge: {message}\n" and captured.out == ""
+
     def test_unknown_trade_key_is_input_error(self, files, capsys):
         # used to be certified as no trade with exit 0
         (files / "typo.json").write_text('{"initial": [0, 0], "trades": {"0": {"by": 1.0}}}')

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,14 @@ class TestVerify:
         doc = cps_b1.to_json()
         doc["z1"]["2"] = str(doc["z1"]["2"])
         with pytest.raises(ParseError, match=r"^bad price-system document: z1 at node 2 must be a JSON number"):
+            ConsistentPriceSystem.from_json(b1, doc)
+
+    @pytest.mark.parametrize("key", ["01", "1_0", " 1", "+1"])
+    def test_node_key_written_otherwise_is_parse_error(self, b1, cps_b1, key):
+        # "01" used to be merged with "1", the later key winning
+        doc = cps_b1.to_json()
+        doc["z0"][key] = doc["z1"][key] = 2.0
+        with pytest.raises(ParseError, match=f"^bad price-system document: z0 key '{re.escape(key)}' must be written '"):
             ConsistentPriceSystem.from_json(b1, doc)
 
     @pytest.mark.parametrize("field", ["z0", "z1"])
@@ -331,6 +340,13 @@ class TestStoppedMartingale:
         assert stopped_martingale_check(b1, [5.0, 5.0, 5.0], None, 5.0)
         with pytest.raises(TypeError):
             stopped_martingale_check(b1, {0: 5.0, 1: 5.0, 2: 5.0}, {1, 2}, 5.0)
+
+    def test_process_size_checked_by_the_tree(self, b1):
+        # the count used to be checked here, with a message of its own
+        with pytest.raises(ShapeMismatch, match="^process indexes 7 nodes, tree has 3$"):
+            stopped_martingale_check(b1, np.ones(7), {1, 2}, 5.0)
+        with pytest.raises(ShapeMismatch, match=r"^process must be a node-indexed vector, got shape \(3, 1\)$"):
+            stopped_martingale_check(b1, np.ones((3, 1)), {1, 2}, 5.0)
 
     def test_non_finite_input_rejected(self, b1, cps_b1):
         # NaN passes every comparison: both calls used to return True

@@ -257,7 +257,7 @@ class TestCertificate:
         for seed in range(1, 11):
             tree, claim, lam = suite_instance(seed)
             for cap in (AdmissibilityCap.unbounded(), AdmissibilityCap.numeraire_based(100.0)):
-                lp = build_primal(tree, lam, claim, cap)[0]
+                lp = build_primal(tree, lam, claim, cap)
                 sol = solve(lp)
                 assert sol.status == "optimal" and sol.certificate.ok, seed
                 assert sol.certificate == verify_certificate(lp, sol), seed
@@ -378,8 +378,8 @@ def standard_form_corpus():
     for seed in range(1, 11):
         tree, claim, lam = suite_instance(seed)
         for cap in (AdmissibilityCap.unbounded(), AdmissibilityCap.numeraire_based(100.0)):
-            yield f"primal {seed} {cap.kind} {cap.bound}", build_primal(tree, lam, claim, cap)[0]
-        yield f"dual {seed}", build_dual(tree, lam, claim)[0]
+            yield f"primal {seed} {cap.kind} {cap.bound}", build_primal(tree, lam, claim, cap)
+        yield f"dual {seed}", build_dual(tree, lam, claim)
 
 
 class TestStandardForm:

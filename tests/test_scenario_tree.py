@@ -273,6 +273,12 @@ class TestPathProbability:
         with pytest.raises(UnknownNode):
             path_probability(b1, 7)
 
+    def test_node_id_must_be_an_integer(self, b1):
+        # 1.7 used to be truncated to node 1
+        with pytest.raises(UnknownNode, match="^node 1.7 is not an integer id$"):
+            b1.check_node(1.7)
+        assert b1.check_node(np.int64(2)) == 2 and type(b1.check_node(np.int32(1))) is int
+
 
 def _traversal_cases():
     """Seeded binary and ternary trees of depth 1-6, with 1-D and 2-D values
@@ -543,6 +549,18 @@ class TestClaimSpec:
     @pytest.mark.parametrize("payoffs", [{"1": "20", "2": 0}, {"1": 20, "2": False}])
     def test_non_number_payoff_is_parse_error(self, payoffs):
         with pytest.raises(ParseError, match="must be a JSON number"):
+            ClaimSpec.from_json({"payoffs": payoffs})
+
+    @pytest.mark.parametrize(
+        "payoffs, key, written",
+        [
+            ({"1": 20, "2": 0, "02": 50}, "02", "2"),  # used to price as if leaf 2 paid 50
+            ({"1_0": 20}, "1_0", "10"),  # used to read as leaf 10
+            ({"-0": 1}, "-0", "0"),
+        ],
+    )
+    def test_node_key_written_otherwise_is_parse_error(self, payoffs, key, written):
+        with pytest.raises(ParseError, match=f"^bad claim document: payoffs key '{key}' must be written '{written}'$"):
             ClaimSpec.from_json({"payoffs": payoffs})
 
     def test_list_for_an_object_is_parse_error(self):

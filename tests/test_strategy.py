@@ -147,6 +147,12 @@ class TestHoldings:
         with pytest.raises(ParseError, match="^unknown trade key 'cosume' at node 2$"):
             Strategy.from_trades(b1, {1: {"buy": 1.0}, 2: {"sell": 1.0, "cosume": 0.5}})
 
+    def test_node_key_written_otherwise_is_parse_error(self, b1):
+        # "01" used to be merged with "1" and, coming later, drop its purchase
+        doc = {"initial": [0, 0], "trades": {"1": {"buy": 1}, "01": {"consume": 0}}}
+        with pytest.raises(ParseError, match="^bad strategy document: trades key '01' must be written '1'$"):
+            Strategy.from_json(b1, doc)
+
     def test_caller_arrays_stay_writeable(self):
         a = np.zeros(3)
         strat = Strategy((0, 0), a, a, a)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 from spreadhedge import (
     AdmissibilityCap,
     ClaimSpec,
+    ConsistentPriceSystem,
     DualInfeasible,
     LinearProgram,
     PreconditionViolated,
+    ShapeMismatch,
     ValidationError,
     brute_force_vertices,
     build_dual,
@@ -18,6 +21,7 @@ from spreadhedge import (
     check_admissibility,
     dual_cps_from_primal,
     expected_claim,
+    extract_strategy,
     generate_random_tree,
     is_self_financing,
     load_tree,
@@ -75,7 +79,7 @@ def random_claim(tree, seed, *, allow_negative=True):
 
 class TestBuildPrimal:
     def test_binomial_reduces_to_two_var_lp(self, b1, c1):
-        lp, vmap = build_primal(b1, 0.1, c1, UNBOUNDED)
+        lp = build_primal(b1, 0.1, c1, UNBOUNDED)
         sol = solve(lp)
         assert abs(sol.objective - 140.0 / 9.0) < 1e-9
         # the reduced two-variable program has the same value at its vertex
@@ -85,7 +89,7 @@ class TestBuildPrimal:
         assert abs(sol.objective - reduced[0][1]) < 1e-9
 
     def test_zero_claim_prices_to_zero(self, b1):
-        lp, _ = build_primal(b1, 0.1, ClaimSpec({1: 0.0, 2: 0.0}), UNBOUNDED)
+        lp = build_primal(b1, 0.1, ClaimSpec({1: 0.0, 2: 0.0}), UNBOUNDED)
         sol = solve(lp)
         assert abs(sol.objective) < 1e-9
 
@@ -99,7 +103,7 @@ class TestBuildPrimal:
     def test_matches_leaf_ancestry_assembly_byte_for_byte(self):
         for seed in range(1, 41):
             tree, claim, lam = suite_instance(seed)
-            lp, _ = build_primal(tree, lam, claim, UNBOUNDED)
+            lp = build_primal(tree, lam, claim, UNBOUNDED)
             ref = _ancestry_primal_arrays(tree, lam, claim, UNBOUNDED)
             got = (lp.A_eq, lp.b_eq, lp.A_ub, lp.b_ub)
             for name, a, b in zip(("A_eq", "b_eq", "A_ub", "b_ub"), got, ref):
@@ -117,7 +121,7 @@ class TestBuildPrimal:
             tree, claim, lam = suite_instance(seed)
             n, n_leaves = tree.node_count, tree.leaves.size
             for cap in caps:
-                lp, _ = build_primal(tree, lam, claim, cap)
+                lp = build_primal(tree, lam, claim, cap)
                 assert lp.c.size == 3 * n + 1, (seed, cap)
                 assert lp.A_eq.shape == (n_leaves, 3 * n + 1), (seed, cap)
                 assert lp.A_ub.shape == (n_leaves + 2 * n, 3 * n + 1), (seed, cap)
@@ -204,21 +208,34 @@ def _ancestry_primal_arrays(tree, lam, claim, cap):
     return A_eq, b_eq, A_ub, b_ub
 
 
+class TestExtractStrategy:
+    def test_another_trees_solution_is_a_shape_mismatch(self, b1):
+        # used to return a 7-node strategy for the 3-node tree
+        tree = generate_random_tree(1, depth=2, max_branching=2)
+        zero = ClaimSpec({int(l): 0.0 for l in tree.leaves})
+        sol = solve(build_primal(tree, 0.1, zero, UNBOUNDED))
+        with pytest.raises(ShapeMismatch, match="^hedging-LP solution indexes 7 nodes, tree has 3$"):
+            extract_strategy(sol, b1)
+        sol = dataclasses.replace(sol, x=sol.x[:-1])
+        with pytest.raises(ShapeMismatch, match="^hedging-LP solution indexes 6.66"):
+            extract_strategy(sol, tree)
+
+
 class TestBuildDual:
     def test_binomial_optimum(self, b1, c1):
-        lp, dmap = build_dual(b1, 0.1, c1)
+        lp = build_dual(b1, 0.1, c1)
         sol = solve(lp)
         assert abs(sol.objective - 140.0 / 9.0) < 1e-9
-        z0 = sol.x[dmap.z0]
+        z0 = sol.x[: b1.node_count]
         assert abs(0.5 * z0[1] - 7.0 / 9.0) < 1e-9  # pricing weight of the up leaf
 
     def test_frictionless_binomial(self, b1, c1):
-        lp, _ = build_dual(b1, 0.0, c1)
+        lp = build_dual(b1, 0.0, c1)
         sol = solve(lp)
         assert abs(sol.objective - 10.0) < 1e-9
 
     def test_zero_claim(self, b1):
-        lp, _ = build_dual(b1, 0.1, ClaimSpec({1: 0.0, 2: 0.0}))
+        lp = build_dual(b1, 0.1, ClaimSpec({1: 0.0, 2: 0.0}))
         assert abs(solve(lp).objective) < 1e-9
 
 
@@ -316,6 +333,16 @@ class TestSuperhedgePrice:
             b1, 0.1, mid.strategy, AdmissibilityCap.numeraire_based(100.0 / 9.0)
         )
 
+    def test_report_is_a_frozen_record(self, b1, c1):
+        rep = superhedge_price(b1, 0.1, c1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.primal_value = 0.0
+        assert rep.dual_status == "optimal"
+        assert rep.cps.strict and rep.cps_strict is rep.cps
+        # a price system whose density vanishes at the up leaf is not strict
+        lax = dataclasses.replace(rep, cps=ConsistentPriceSystem([1.0, 0.0, 2.0], [94.0, 0.0, 160.0]))
+        assert lax.cps_strict is None and lax.to_json()["cps_strict"] is None
+
     def test_report_json_shape(self, b1, c1):
         doc = superhedge_price(b1, 0.1, c1).to_json()
         assert doc["primal"] == doc["dual"] or abs(doc["primal"] - doc["dual"]) < 1e-7
@@ -337,7 +364,7 @@ class TestDualOfPrimal:
         ]
         for seed in range(1, 41):
             tree, claim, lam = suite_instance(seed)
-            ref = solve(build_dual(tree, lam, claim)[0]).objective
+            ref = solve(build_dual(tree, lam, claim)).objective
             for cap in caps:
                 rep = superhedge_price(tree, lam, claim, cap)
                 assert abs(rep.dual_value - ref) <= 1e-9 * max(1.0, abs(ref)), (seed, cap)
@@ -347,7 +374,7 @@ class TestDualOfPrimal:
                 )
 
     def test_multiplier_mapping_rejects_capped_solve(self, b1, c1):
-        lp, _ = build_primal(b1, 0.1, c1, AdmissibilityCap.numeraire_based(100.0))
+        lp = build_primal(b1, 0.1, c1, AdmissibilityCap.numeraire_based(100.0))
         sol = solve(lp)
         assert sol.status == "optimal"
         with pytest.raises(ValidationError):
@@ -359,7 +386,7 @@ class TestDualOfPrimal:
         tree = generate_random_tree(seed % 60 + 1, depth=1 + seed % 4, max_branching=2 + seed % 2)
         claim = random_claim(tree, seed)
         lam = 0.05 + (seed % 6) * 0.06
-        lp, _ = build_primal(tree, lam, claim, UNBOUNDED)
+        lp = build_primal(tree, lam, claim, UNBOUNDED)
         sol = solve(lp)
         cps = dual_cps_from_primal(tree, sol)
         assert verify_cps(tree, lam, cps)
