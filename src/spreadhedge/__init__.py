@@ -20,7 +20,6 @@ from .errors import (
     PreconditionViolated,
     ShapeMismatch,
     SpreadHedgeError,
-    TooLarge,
     UnknownNode,
     UnverifiedInput,
     ValidationError,
@@ -33,7 +32,6 @@ from .scenario_tree import (
     generate_random_tree,
     is_antichain,
     load_tree,
-    path_probability,
 )
 from .strategy import (
     AdmissibilityCap,
@@ -41,7 +39,6 @@ from .strategy import (
     Strategy,
     check_admissibility,
     is_self_financing,
-    liquidation_value,
     lower_friction_transform,
     make_ask_strategy,
     make_bid_strategy,
@@ -64,7 +61,6 @@ from .cps import (
 from .lp import (
     LinearProgram,
     LpSolution,
-    brute_force_vertices,
     solve,
     verify_certificate,
 )

@@ -197,10 +197,21 @@ def parse_payoff_expr(text: str):
 # document IO
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key written twice is a ``ParseError``, where
+    ``json`` would keep the later value silently."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"key {key!r} is written twice in one object")
+        obj[key] = value
+    return obj
+
+
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert

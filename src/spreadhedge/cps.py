@@ -454,7 +454,7 @@ def random_cps(
             z0[kids] = z0[i, None] * q / tree.cond_prob[kids]
         if not found.all():
             i = nodes[np.argmin(found)]
-            kids = np.array(tree.children[i])
+            kids = np.flatnonzero(tree.parent == i)
             lo, hi, target = ((1.0 - lam) * S[kids]).min(), S[kids].max(), shadow[i]
             if not (lo <= target <= hi):
                 raise ValidationError(

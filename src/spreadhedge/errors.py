@@ -45,10 +45,6 @@ class PreconditionViolated(SpreadHedgeError):
     """A stated hypothesis of the check does not hold for the given inputs."""
 
 
-class TooLarge(SpreadHedgeError):
-    """Instance exceeds the size the exhaustive routine accepts."""
-
-
 class NumericalBreakdown(SpreadHedgeError):
     """Solver lost numerical control (persistently tiny pivots or a bad factorization)."""
 

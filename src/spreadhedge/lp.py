@@ -29,11 +29,10 @@ bound is infinite.  For maximization all dual signs flip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .errors import NumericalBreakdown, TooLarge, ValidationError
+from .errors import NumericalBreakdown, ValidationError
 
 __all__ = [
     "LinearProgram",
@@ -41,7 +40,6 @@ __all__ = [
     "CertificateReport",
     "solve",
     "verify_certificate",
-    "brute_force_vertices",
 ]
 
 FEAS_TOL = 1e-9
@@ -51,7 +49,7 @@ GAP_TOL = 1e-8
 PIVOT_TOL = 1e-9
 BREAKDOWN_TOL = 1e-12
 
-_SENSES = {"minimize": 1.0, "min": 1.0, "maximize": -1.0, "max": -1.0}
+_SENSES = {"minimize": 1.0, "maximize": -1.0}
 
 
 def _as_matrix(a, ncols: int, name: str) -> np.ndarray:
@@ -69,8 +67,9 @@ def _as_matrix(a, ncols: int, name: str) -> np.ndarray:
 class LinearProgram:
     """General-form LP: optimize ``c'x`` under equality rows, ``<=`` rows and bounds.
 
-    ``lower``/``upper`` default to ``0``/``+inf``; use ``-inf`` lower bounds for
-    free variables.  ``names`` are optional labels used by report extraction.
+    ``objective_sense`` is ``"minimize"`` or ``"maximize"``.  ``lower``/``upper``
+    default to ``0``/``+inf``; use ``-inf`` lower bounds for free variables.
+    ``names`` are optional labels used by report extraction.
     """
 
     c: np.ndarray
@@ -543,78 +542,3 @@ def verify_certificate(lp: LinearProgram, sol: LpSolution) -> CertificateReport:
     tols = (FEAS_TOL, DUAL_TOL, CS_TOL, GAP_TOL)
     failures = tuple(name for (name, val), tol in zip(res.items(), tols) if not (val <= tol))
     return CertificateReport(not failures, res, failures)
-
-
-def brute_force_vertices(lp: LinearProgram) -> list[tuple[np.ndarray, float]]:
-    """Enumerate basic feasible points and return the optimizer set.
-
-    Independent oracle for small instances: at most 8 variables, and the
-    feasible region must be bounded (every variable pinned by bounds or
-    constraints) so an optimal vertex exists.  Each candidate point solves a
-    square subsystem of active constraints; infeasible problems yield an
-    empty list; coincident vertices are deduplicated.
-    """
-    n = lp.n_vars
-    if n > 8:
-        raise TooLarge(f"brute force accepts at most 8 variables, got {n}")
-    sign = _SENSES[lp.objective_sense]
-    tol = 1e-9
-
-    rows: list[tuple[np.ndarray, float]] = []
-    forced = list(range(lp.A_eq.shape[0]))
-    for i in range(lp.A_eq.shape[0]):
-        rows.append((lp.A_eq[i], lp.b_eq[i]))
-    optional_start = len(rows)
-    for i in range(lp.A_ub.shape[0]):
-        rows.append((lp.A_ub[i], lp.b_ub[i]))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        if np.isfinite(lp.lower[j]):
-            rows.append((e, lp.lower[j]))
-        if np.isfinite(lp.upper[j]):
-            rows.append((e.copy(), lp.upper[j]))
-
-    def feasible(x: np.ndarray) -> bool:
-        scale = max(1.0, float(np.abs(x).max(initial=0.0)))
-        if lp.A_eq.size and np.max(np.abs(lp.A_eq @ x - lp.b_eq)) > tol * scale:
-            return False
-        if lp.A_ub.size and np.max(lp.A_ub @ x - lp.b_ub) > tol * scale:
-            return False
-        if np.any(x < lp.lower - tol * scale) or np.any(x > lp.upper + tol * scale):
-            return False
-        return True
-
-    optional = range(optional_start, len(rows))
-    need = n - len(forced)
-    points: list[np.ndarray] = []
-    if need < 0:
-        combos: list[tuple[int, ...]] = [()]
-    else:
-        combos = list(combinations(optional, need))
-    for combo in combos:
-        idx = forced + list(combo)
-        M = np.array([rows[i][0] for i in idx]).reshape(len(idx), n)
-        rhs = np.array([rows[i][1] for i in idx])
-        sol, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=None)
-        if rank < n:
-            continue
-        if np.max(np.abs(M @ sol - rhs)) > tol * max(1.0, float(np.abs(rhs).max(initial=0.0))):
-            continue
-        if feasible(sol):
-            points.append(sol)
-
-    unique: list[np.ndarray] = []
-    for p in points:
-        if not any(np.allclose(p, q, atol=1e-9, rtol=1e-9) for q in unique):
-            unique.append(p)
-    if not unique:
-        return []
-    objs = [float(lp.c @ p) for p in unique]
-    best = min(sign * o for o in objs)
-    out = [
-        (p, o)
-        for p, o in zip(unique, objs)
-        if sign * o <= best + 1e-9 * (1.0 + abs(best))
-    ]
-    return out

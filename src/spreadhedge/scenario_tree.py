@@ -25,7 +25,6 @@ __all__ = [
     "PriceModel",
     "load_tree",
     "dumps_tree",
-    "path_probability",
     "is_antichain",
     "generate_random_tree",
 ]
@@ -51,8 +50,9 @@ class ScenarioTree:
       finite, its children's probabilities (summed in id order) sum to 1
       within ``1e-12``, and a childless node sits at time ``depth``.
 
-    Children are kept in ascending id order so every iteration (and LP
-    column order) is deterministic.
+    The children of node ``i`` are the nodes whose ``parent`` is ``i``.
+    Every walk takes them in ascending id order, so every iteration (and LP
+    row order) is deterministic.
 
     Strategies, price systems and the hedging LP walk the tree in three
     ways, each done here one time step at a time:
@@ -71,7 +71,6 @@ class ScenarioTree:
         "time",
         "cond_prob",
         "price",
-        "children",
         "leaves",
         "internal",
         "order",
@@ -137,8 +136,6 @@ class ScenarioTree:
                 )
             raise ValidationError(f"leaf node {i} sits at time {time[i]}, expected depth {depth}")
 
-        by_parent = (np.argsort(up, kind="stable") + 1).tolist()
-        ends = np.cumsum(n_kids).tolist()
         order = np.argsort(time, kind="stable")
         levels = tuple(np.split(order, np.cumsum(np.bincount(time))[:-1]))
         path_prob = np.empty(n)
@@ -152,7 +149,6 @@ class ScenarioTree:
         self.time = time
         self.cond_prob = cond_prob
         self.price = price
-        self.children = tuple(tuple(by_parent[a:b]) for a, b in zip([0] + ends[:-1], ends))
         self.leaves = np.flatnonzero(n_kids == 0)
         self.internal = np.flatnonzero(n_kids > 0)
         self.order = order
@@ -225,11 +221,6 @@ class ScenarioTree:
         return f"ScenarioTree(depth={self.depth}, node_count={self.node_count})"
 
 
-def path_probability(tree: ScenarioTree, node: int) -> float:
-    """Physical probability of the path from the root to ``node`` (root -> 1)."""
-    return float(tree.path_prob[tree.check_node(node)])
-
-
 def _stop_above(tree: ScenarioTree, stop) -> np.ndarray:
     """Per node, the stop node at or above it, or -1 while the stop has not
     fired (everywhere for ``stop=None``).
@@ -262,6 +253,14 @@ def is_antichain(tree: ScenarioTree, nodes: Iterable[int]) -> bool:
 _BOUND_KINDS = ("constant", "stock_bond")
 
 
+def _leaf_id(key) -> int:
+    """A claim key as an ``int``, by the rule of ``ScenarioTree.check_node``."""
+    try:
+        return operator.index(key)
+    except TypeError:
+        raise ValidationError(f"claim leaf id {key!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class ClaimSpec:
     """Contingent claim paying ``payoffs[leaf]`` bonds at the horizon.  Every
@@ -282,7 +281,7 @@ class ClaimSpec:
     def __post_init__(self):
         if self.bound_kind not in _BOUND_KINDS:
             raise ValidationError(f"unknown bound kind {self.bound_kind!r}")
-        payoffs = {int(k): float(v) for k, v in self.payoffs.items()}
+        payoffs = {_leaf_id(k): float(v) for k, v in self.payoffs.items()}
         # an id beyond int64 makes an object array, which matches no tree's leaves
         leaves, x = np.array(list(payoffs)), np.fromiter(payoffs.values(), float)
         bad = np.flatnonzero(~np.isfinite(x))

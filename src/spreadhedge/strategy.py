@@ -36,7 +36,6 @@ __all__ = [
     "portfolio_path",
     "is_self_financing",
     "liquidate",
-    "liquidation_value",
     "liquidation_values",
     "check_admissibility",
     "minimal_admissibility_bound",
@@ -231,12 +230,6 @@ def liquidate(phi0, phi1, price, lam):
 
 def liquidation_values(tree: ScenarioTree, lam, strategy: Strategy) -> np.ndarray:
     return portfolio_path(tree, lam, strategy).liquidation
-
-
-def liquidation_value(tree: ScenarioTree, lam, strategy: Strategy, node: int) -> float:
-    """Liquidation value of the post-trade holdings at ``node``."""
-    node = tree.check_node(node)
-    return float(liquidation_values(tree, lam, strategy)[node])
 
 
 @dataclass(frozen=True)

@@ -140,29 +140,31 @@ def build_dual(tree: ScenarioTree, lam, claim: ClaimSpec) -> LinearProgram:
     n_vars = 2 * n
     names = [f"z0[{i}]" for i in range(n)] + [f"z1[{i}]" for i in range(n)]
 
-    n_eq = 1 + 2 * tree.internal.size
+    # rows 1 + 2k and 2 + 2k: the z0 and z1 martingale identities at the
+    # k-th internal node, where each child writes -cond_prob
+    internal = tree.internal
+    n_eq = 1 + 2 * internal.size
     A_eq = np.zeros((n_eq, n_vars))
     b_eq = np.zeros(n_eq)
     A_eq[0, z0[0]] = 1.0
     b_eq[0] = 1.0
-    r = 1
-    for i in tree.internal:
-        kids = list(tree.children[i])
-        p = tree.cond_prob[kids]
-        A_eq[r, z0[i]] = 1.0
-        A_eq[r, z0[kids]] = -p
-        A_eq[r + 1, z1[i]] = 1.0
-        A_eq[r + 1, z1[kids]] = -p
-        r += 2
+    rows = 1 + 2 * np.arange(internal.size)
+    up = 1 + 2 * np.searchsorted(internal, tree.parent[1:])  # each child's parent's row
+    p = tree.cond_prob[1:]
+    A_eq[rows, z0[internal]] = 1.0
+    A_eq[up, z0[1:]] = -p
+    A_eq[rows + 1, z1[internal]] = 1.0
+    A_eq[up + 1, z1[1:]] = -p
 
+    # rows 2i and 2i + 1: (1-lam) S z0 <= z1 <= S z0 at node i
     A_ub = np.zeros((2 * n, n_vars))
     b_ub = np.zeros(2 * n)
     S = tree.price
-    for i in range(n):
-        A_ub[2 * i, z0[i]] = (1.0 - lam) * S[i]
-        A_ub[2 * i, z1[i]] = -1.0
-        A_ub[2 * i + 1, z0[i]] = -S[i]
-        A_ub[2 * i + 1, z1[i]] = 1.0
+    i = np.arange(n)
+    A_ub[2 * i, z0] = (1.0 - lam) * S
+    A_ub[2 * i, z1] = -1.0
+    A_ub[2 * i + 1, z0] = -S
+    A_ub[2 * i + 1, z1] = 1.0
 
     c = np.zeros(n_vars)
     leaves = tree.leaves

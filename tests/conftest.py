@@ -1,4 +1,5 @@
-"""Shared fixtures: the one-period binomial market and its golden objects."""
+"""Shared fixtures: the one-period binomial market and its golden objects,
+and ``children``, a tree's child lists for per-node reference loops."""
 
 import json
 
@@ -16,6 +17,15 @@ B1_JSON = json.dumps(
         ],
     }
 )
+
+
+def children(tree):
+    """Per node, the tuple of its children in ascending id order: the nodes
+    whose ``parent`` is that node, as Python ints."""
+    kids = [[] for _ in range(tree.node_count)]
+    for k, p in enumerate(tree.parent.tolist()[1:], start=1):
+        kids[p].append(k)
+    return tuple(map(tuple, kids))
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ from spreadhedge import (
     AdmissibilityCap,
     ClaimSpec,
     DualInfeasible,
-    brute_force_vertices,
     concatenate_cps,
     generate_random_tree,
     load_tree,
@@ -30,6 +29,7 @@ from spreadhedge import (
 )
 from spreadhedge.cli import main
 from spreadhedge.strategy import minimal_admissibility_bound, portfolio_path
+from tests.oracles import brute_force_vertices
 from tests.test_lp import random_box_lp
 
 GOLDEN = 140.0 / 9.0

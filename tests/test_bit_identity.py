@@ -1,10 +1,11 @@
 """The level-at-a-time builders against the per-node loops they replaced.
 
-``random_cps`` extends every branch point of a time step at once and
-``dumps_tree`` formats nodes from one template.  Both must reproduce the
-per-node originals bit for bit: ``random_cps`` output seeds property suites
-and the benchmark, and tree documents are compared byte for byte.  The
-originals are kept here as oracles.
+``random_cps`` extends every branch point of a time step at once,
+``dumps_tree`` formats nodes from one template and ``build_dual`` writes its
+rows from the ``parent`` column.  Each must reproduce the per-node original
+bit for bit: ``random_cps`` output seeds property suites and the benchmark,
+tree documents are compared byte for byte, and the dual LP is the oracle the
+hedging LP is checked against.  The originals are kept here as oracles.
 """
 
 import json
@@ -14,9 +15,11 @@ import pytest
 
 from spreadhedge import (
     ConsistentPriceSystem,
+    LinearProgram,
     PriceModel,
     ScenarioTree,
     ValidationError,
+    build_dual,
     dumps_tree,
     generate_random_tree,
     load_tree,
@@ -26,6 +29,8 @@ from spreadhedge.cps import verify_cps
 from spreadhedge.errors import CertificateFailure
 from spreadhedge.scenario_tree import _stop_above
 from spreadhedge.strategy import _rate
+from tests.conftest import children
+from tests.test_acceptance import suite_instance
 
 
 def reference_random_cps(tree, lam, seed, *, stop=None):
@@ -49,10 +54,11 @@ def reference_random_cps(tree, lam, seed, *, stop=None):
 
     shadow[0] = interior((1.0 - lam) * S[0], S[0])
     z0[0] = 1.0
+    kids_of = children(tree)
     for i in tree.order:
-        if above[i] >= 0 or not tree.children[i]:
+        if above[i] >= 0 or not kids_of[i]:
             continue
-        kids = np.array(tree.children[i], dtype=np.int64)
+        kids = np.array(kids_of[i], dtype=np.int64)
         lo = (1.0 - lam) * S[kids]
         hi = S[kids]
         target = shadow[i]
@@ -138,6 +144,58 @@ def reference_dumps_tree(tree):
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_build_dual(tree, lam, claim):
+    """``build_dual`` as it was written before it read ``parent``: one
+    martingale row pair per internal node, one spread row pair per node."""
+    lam = _rate(lam)
+    x = claim.payoff_vector(tree)
+    n = tree.node_count
+    z0 = np.arange(0, n)
+    z1 = np.arange(n, 2 * n)
+    n_vars = 2 * n
+    names = [f"z0[{i}]" for i in range(n)] + [f"z1[{i}]" for i in range(n)]
+
+    n_eq = 1 + 2 * tree.internal.size
+    A_eq = np.zeros((n_eq, n_vars))
+    b_eq = np.zeros(n_eq)
+    A_eq[0, z0[0]] = 1.0
+    b_eq[0] = 1.0
+    r = 1
+    kids_of = children(tree)
+    for i in tree.internal:
+        kids = list(kids_of[i])
+        p = tree.cond_prob[kids]
+        A_eq[r, z0[i]] = 1.0
+        A_eq[r, z0[kids]] = -p
+        A_eq[r + 1, z1[i]] = 1.0
+        A_eq[r + 1, z1[kids]] = -p
+        r += 2
+
+    A_ub = np.zeros((2 * n, n_vars))
+    b_ub = np.zeros(2 * n)
+    S = tree.price
+    for i in range(n):
+        A_ub[2 * i, z0[i]] = (1.0 - lam) * S[i]
+        A_ub[2 * i, z1[i]] = -1.0
+        A_ub[2 * i + 1, z0[i]] = -S[i]
+        A_ub[2 * i + 1, z1[i]] = 1.0
+
+    c = np.zeros(n_vars)
+    leaves = tree.leaves
+    c[z0[leaves]] = tree.path_prob[leaves] * x
+    return LinearProgram(
+        c=c,
+        objective_sense="maximize",
+        A_eq=A_eq,
+        b_eq=b_eq,
+        A_ub=A_ub,
+        b_ub=b_ub,
+        lower=np.zeros(n_vars),
+        upper=np.full(n_vars, np.inf),
+        names=tuple(names),
+    )
 
 
 def _outcome(build, tree, lam, seed, stop):
@@ -233,7 +291,7 @@ class TestRandomCpsOracle:
         # numpy sums nine terms pairwise, not left to right: one seed may
         # round alike either way, twenty do not
         tree = _wide_tree()
-        assert len(tree.children[0]) == 9
+        assert len(children(tree)[0]) == 9
         for seed in range(20):
             assert len(_assert_same(tree, lam, seed)) == 3
 
@@ -282,3 +340,19 @@ class TestDumpsTreeOracle:
         text = dumps_tree(tree)
         assert text == reference_dumps_tree(tree)
         assert dumps_tree(load_tree(text)) == text
+
+
+class TestBuildDualOracle:
+    @pytest.mark.parametrize("lam", (0.0, 0.1, 0.45))
+    def test_matches_per_node_loop(self, lam):
+        fields = ("c", "A_eq", "b_eq", "A_ub", "b_ub", "lower", "upper")
+        for seed in range(1, 201):
+            tree, claim, _ = suite_instance(seed)
+            got, want = build_dual(tree, lam, claim), reference_build_dual(tree, lam, claim)
+            assert got.objective_sense == want.objective_sense
+            assert got.names == want.names
+            for name in fields:
+                a, b = getattr(got, name), getattr(want, name)
+                # tobytes tells -0.0 from 0.0, which array_equal does not
+                assert a.dtype == b.dtype and a.shape == b.shape, (seed, name)
+                assert a.tobytes() == b.tobytes(), (seed, name)

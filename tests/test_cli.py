@@ -715,6 +715,32 @@ class TestGenerationAndReport:
         captured = capsys.readouterr()
         assert captured.err == f"spreadhedge: {message}\n" and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, text, key",
+        [
+            (
+                ["check-strategy", "--strategy"],
+                '{"initial": [0, 0], "trades": {"1": {"buy": 1}, "1": {"consume": 0}}}',
+                "1",
+            ),
+            (["price", "--claim"], '{"payoffs": {"1": 20, "2": 0, "2": 50}}', "2"),
+            (
+                ["verify-cps", "--cps"],
+                '{"z0": {"0": 1, "1": 1, "2": 1}, "z1": {"0": 94, "1": 110, "2": 78}, "z0": {}}',
+                "z0",
+            ),
+        ],
+        ids=["strategy", "claim", "cps"],
+    )
+    def test_key_written_twice_is_input_error(self, files, capsys, argv, text, key):
+        # json.load kept the later value: the strategy exited 0 with its purchase dropped
+        (files / "twice.json").write_text(text)
+        argv = [*argv, str(files / "twice.json"), "--tree", str(files / "b1.json"), "--lambda", "0.1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"spreadhedge: key '{key}' is written twice in one object\n"
+        assert captured.out == ""
+
     def test_unknown_trade_key_is_input_error(self, files, capsys):
         # used to be certified as no trade with exit 0
         (files / "typo.json").write_text('{"initial": [0, 0], "trades": {"0": {"by": 1.0}}}')

@@ -33,6 +33,7 @@ from spreadhedge import (
     supermartingale_check,
     verify_cps,
 )
+from tests.conftest import children
 from tests.test_acceptance import suite_instance
 
 
@@ -230,10 +231,9 @@ class TestSupermartingale:
         assert not cps.strict
         assert supermartingale_check(tree, lam, cps, rep.strategy)
 
-        node = next(
-            i for i in tree.internal if min(cps.z0[k] for k in tree.children[i]) == 0.0
-        )
-        kid = max(tree.children[node], key=lambda k: tree.cond_prob[k] * cps.z0[k])
+        kids_of = children(tree)
+        node = next(i for i in tree.internal if min(cps.z0[k] for k in kids_of[i]) == 0.0)
+        kid = max(kids_of[node], key=lambda k: tree.cond_prob[k] * cps.z0[k])
         injected = Strategy.from_trades(tree, {kid: {"consume": -1.0}})
         check = supermartingale_check(tree, lam, cps, injected)
         assert not check
@@ -254,7 +254,7 @@ class TestSupermartingale:
         assert cps.z0[node] < 1e-6
         assert supermartingale_check(tree, lam, cps, rep.strategy)
 
-        kid = max(tree.children[node], key=lambda k: tree.cond_prob[k] * cps.z0[k])
+        kid = max(children(tree)[node], key=lambda k: tree.cond_prob[k] * cps.z0[k])
         injected = Strategy.from_trades(tree, {kid: {"consume": -1.0}})
         check = supermartingale_check(tree, lam, cps, injected)
         assert not check

@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 from spreadhedge import (
     AdmissibilityCap,
     LinearProgram,
-    TooLarge,
     ValidationError,
-    brute_force_vertices,
     solve,
     verify_certificate,
 )
 from spreadhedge.lp import _SENSES, _standard_form
 from spreadhedge.superhedge import build_dual, build_primal
+from tests.oracles import brute_force_vertices
 
 INF = float("inf")
 
@@ -147,6 +146,12 @@ class TestSolveBasics:
             LinearProgram(c=[np.nan])
         with pytest.raises(ValidationError):
             LinearProgram(c=[1.0], lower=[2.0], upper=[1.0])
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_sense_is_spelt_out(self, sense):
+        # "min" and "max" used to be accepted as aliases
+        with pytest.raises(ValidationError, match=f"^unknown objective sense '{sense}'$"):
+            LinearProgram(c=[1.0], objective_sense=sense)
 
     @pytest.mark.parametrize("lower, upper", [(INF, INF), (-INF, -INF)])
     def test_inverted_infinite_bound_rejected(self, lower, upper):
@@ -291,7 +296,7 @@ class TestBruteForce:
         assert np.allclose(out[0][0], [1.0, 1.0], atol=1e-9)
 
     def test_too_large(self):
-        with pytest.raises(TooLarge):
+        with pytest.raises(ValueError, match="at most 8 variables"):
             brute_force_vertices(LinearProgram(c=np.ones(9), upper=np.full(9, 1.0)))
 
 

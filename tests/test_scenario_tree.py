@@ -18,18 +18,17 @@ from spreadhedge import (
     generate_random_tree,
     is_antichain,
     load_tree,
-    path_probability,
     random_cps,
 )
 from spreadhedge.scenario_tree import _stop_above
-from tests.conftest import B1_JSON
+from tests.conftest import B1_JSON, children
 
 
 class TestLoadTree:
     def test_binomial_loads(self, b1):
         assert b1.node_count == 3
         assert b1.depth == 1
-        assert b1.children[0] == (1, 2)
+        assert children(b1)[0] == (1, 2)
         assert list(b1.leaves) == [1, 2]
 
     def test_bad_probability_sum_names_node(self):
@@ -206,8 +205,8 @@ class TestArrays:
         tree = ScenarioTree(parent, time, cond_prob, price, 1)
         price[1] = -1.0
         assert tree.price.tolist() == [100.0, 120.0, 80.0]
-        assert tree.children == ((1, 2), (), ())
-        assert all(type(k) is int for k in tree.children[0])
+        assert children(tree) == ((1, 2), (), ())
+        assert all(type(k) is int for k in children(tree)[0])
         for arr in (tree.parent, tree.time, tree.cond_prob, tree.price, tree.leaves):
             assert not arr.flags.writeable
         assert dumps_tree(tree) == dumps_tree(load_tree(B1_JSON))
@@ -246,10 +245,10 @@ class TestArrays:
 
 class TestPathProbability:
     def test_root_is_one(self, b1):
-        assert path_probability(b1, 0) == 1.0
+        assert b1.path_prob[0] == 1.0
 
     def test_leaf(self, b1):
-        assert path_probability(b1, 1) == 0.5
+        assert b1.path_prob[1] == 0.5
 
     def test_uniform_ternary_leaf(self):
         nodes = [{"id": 0, "parent": None, "time": 0, "prob": 1.0, "price": 100.0}]
@@ -267,11 +266,11 @@ class TestPathProbability:
             frontier = nxt
         tree = load_tree(json.dumps({"depth": 3, "nodes": nodes}))
         leaf = int(tree.leaves[0])
-        assert abs(path_probability(tree, leaf) - (1 / 3) ** 3) < 1e-15
+        assert abs(tree.path_prob[leaf] - (1 / 3) ** 3) < 1e-15
 
     def test_unknown_node(self, b1):
         with pytest.raises(UnknownNode):
-            path_probability(b1, 7)
+            b1.path_prob[b1.check_node(7)]
 
     def test_node_id_must_be_an_integer(self, b1):
         # 1.7 used to be truncated to node 1
@@ -324,8 +323,9 @@ class TestTraversals:
             got = tree.children_mean(v)
             assert got.shape == v.shape
             assert (got[tree.leaves] == 0.0).all()
+            kids_of = children(tree)
             for i in tree.internal:
-                kids = list(tree.children[i])
+                kids = list(kids_of[i])
                 p = tree.cond_prob[kids]
                 ref = p @ v[kids]
                 bound = 4 * eps * (p @ np.abs(v[kids]))
@@ -498,8 +498,9 @@ class TestGenerateRandomTree:
 
     def test_straddle_brackets_parent_price(self):
         tree = generate_random_tree(42, depth=4, max_branching=3)
+        kids_of = children(tree)
         for n in tree.internal:
-            kid_prices = tree.price[list(tree.children[n])]
+            kid_prices = tree.price[list(kids_of[n])]
             assert kid_prices.min() < tree.price[n] < kid_prices.max()
 
     def test_drift_model_allows_one_sided_moves(self):
@@ -530,6 +531,17 @@ class TestClaimSpec:
         claim = ClaimSpec({1: 20.0, 2: 0.0, 10**20: 1.0})
         with pytest.raises(ValidationError, match=r"missing \[\], extra \[100000000000000000000\]$"):
             claim.payoff_vector(b1)
+
+    @pytest.mark.parametrize("key", [1.7, 1.0, "1"])
+    def test_leaf_id_must_be_an_integer(self, key):
+        # 1.7 used to be truncated to leaf 1
+        with pytest.raises(ValidationError, match=f"^claim leaf id {key!r} is not an integer$"):
+            ClaimSpec({key: 20.0, 2: 0.0})
+
+    def test_numpy_integer_leaf_ids_are_ints(self, b1):
+        claim = ClaimSpec({np.int64(1): 20.0, np.int32(2): 0.0})
+        assert all(type(k) is int for k in claim.payoffs)
+        assert claim.payoff_vector(b1).tolist() == [20.0, 0.0]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_payoff_rejected_when_built(self, value):

@@ -14,7 +14,6 @@ from spreadhedge import (
     check_admissibility,
     generate_random_tree,
     is_self_financing,
-    liquidation_value,
     lower_friction_transform,
     make_ask_strategy,
     make_bid_strategy,
@@ -179,11 +178,11 @@ class TestLiquidation:
 
     def test_empty_portfolio(self, b1):
         for n in range(3):
-            assert liquidation_value(b1, 0.1, Strategy.zero(b1), n) == 0.0
+            assert liquidation_values(b1, 0.1, Strategy.zero(b1))[n] == 0.0
 
     def test_strategy_route_matches_direct_formula(self, b1):
         strat = Strategy.zero(b1, initial=(10.0, 2.0))
-        assert liquidation_value(b1, 0.1, strat, 0) == liquidate(10.0, 2.0, 100.0, 0.1)
+        assert liquidation_values(b1, 0.1, strat)[0] == liquidate(10.0, 2.0, 100.0, 0.1)
 
     def test_is_the_smaller_of_bid_and_ask_marks(self):
         # the hedging LP states the liquidation floor as one row per mark

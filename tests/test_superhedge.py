@@ -15,7 +15,6 @@ from spreadhedge import (
     PreconditionViolated,
     ShapeMismatch,
     ValidationError,
-    brute_force_vertices,
     build_dual,
     build_primal,
     check_admissibility,
@@ -36,6 +35,7 @@ from spreadhedge import (
 from spreadhedge.cps import supermartingale_check
 from spreadhedge.strategy import Strategy, minimal_admissibility_bound, portfolio_path
 from spreadhedge.superhedge import _certify, has_cps
+from tests.oracles import brute_force_vertices
 from tests.test_acceptance import suite_instance
 
 UNBOUNDED = AdmissibilityCap.unbounded()
