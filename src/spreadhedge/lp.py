@@ -1,7 +1,8 @@
 """Self-contained dense linear-programming kernel with duality certificates.
 
 The solver is a two-phase revised simplex on the standard-form problem
-``min c't  s.t.  At = b, t >= 0`` derived from the general-form input.  Each
+``min c't  s.t.  At = b, t >= 0`` derived from the general-form input,
+skipping phase 1 when a crash basis is feasible (``_crash``).  Each
 variable has one of four bound kinds: fixed (no column), shift (by its lower
 bound), mirror (at its upper bound) or split (free, two columns).  Three
 arrays carry the whole transformation -- ``source`` (the variable behind each
@@ -361,14 +362,26 @@ class _Simplex:
         return int(ties[np.argmax(d[ties])])
 
 
-def _phase(
-    A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray, n: int
-) -> tuple[str, _Simplex]:
-    """Factorize the basis and run the simplex on it; only the first ``n``
-    columns may enter.  Returns ``(status, simplex)``."""
-    sx = _Simplex(A, b, basis)
-    allowed = np.arange(A.shape[1]) < n
-    return sx.run(c, allowed, 200000 + 100 * (A.shape[0] + n)), sx
+def _phase(sx: _Simplex, c: np.ndarray, n: int) -> str:
+    """Run the simplex from ``sx``'s basis; only the first ``n`` columns may enter."""
+    allowed = np.arange(sx.A.shape[1]) < n
+    return sx.run(c, allowed, 200000 + 100 * (sx.m + n))
+
+
+def _crash(sf: _StandardForm) -> _Simplex | None:
+    """Bixby's crash, one column deep: when every row has a slack and some
+    ``b_r < 0``, the lowest-index structural column negative on every such
+    row enters at the largest ratio ``b_r / a_rj``.  Returns the factorized
+    basis if all its basic values are nonnegative, else None."""
+    short = np.flatnonzero(sf.b < 0)
+    negative = (sf.A[short, : sf.source.size] < 0).all(axis=0)
+    if not short.size or (sf.slack_of_row < 0).any() or not negative.any():
+        return None
+    j = int(np.argmax(negative))
+    basis = sf.slack_of_row.copy()
+    basis[short[np.argmax(sf.b[short] / sf.A[short, j])]] = j
+    sx = _Simplex(sf.A, sf.b, basis)
+    return sx if (sx.Binv @ sf.b >= 0).all() else None
 
 
 def _solve_standard(
@@ -384,42 +397,46 @@ def _solve_standard(
     kept_rows = np.arange(m)
     iters = 0
 
-    # initial basis: slacks where feasible, artificials elsewhere
-    art_rows = np.flatnonzero((sf.slack_of_row < 0) | (b < 0))
-    n_art = art_rows.size
-    basis = sf.slack_of_row.copy()
-    basis[art_rows] = n + np.arange(n_art)
-    if n_art:
-        art = np.zeros((m, n_art))
-        art[art_rows, np.arange(n_art)] = np.where(b[art_rows] < 0, -1.0, 1.0)
-        c1 = np.concatenate([np.zeros(n), np.ones(n_art)])
-        # artificials may leave but never re-enter
-        status, sx = _phase(np.hstack([A, art]), b, c1, basis, n)
-        iters += sx.iterations
-        if status != "optimal":
-            raise NumericalBreakdown("phase-1 objective reported unbounded")
-        phase1 = float(c1[sx.basis] @ (sx.Binv @ b))
-        if phase1 > 1e-8 * max(1.0, np.abs(b).max()):
-            return "infeasible", None, None, kept_rows, iters
-        # drive remaining artificials out of the basis; a row whose
-        # artificial no column can replace is redundant and dropped
-        drop_rows: list[int] = []
-        for p in np.flatnonzero(sx.basis >= n):
-            row = sx.Binv[p, :] @ A
-            for j in np.flatnonzero(np.abs(row) > 1e-7):
-                if not sx.in_basis[j]:
-                    d = sx.Binv @ A[:, j]
-                    if abs(d[p]) > 1e-7:
-                        sx.pivot(p, j, d)
-                        break
-            else:
-                drop_rows.append(p)
-        basis = np.delete(sx.basis, drop_rows)
-        if drop_rows:
-            keep = np.delete(np.arange(m), drop_rows)
-            A, b, kept_rows = A[keep], b[keep], kept_rows[keep]
+    sx = _crash(sf)
+    if sx is None:
+        # initial basis: slacks where feasible, artificials elsewhere
+        art_rows = np.flatnonzero((sf.slack_of_row < 0) | (b < 0))
+        n_art = art_rows.size
+        basis = sf.slack_of_row.copy()
+        basis[art_rows] = n + np.arange(n_art)
+        if n_art:
+            art = np.zeros((m, n_art))
+            art[art_rows, np.arange(n_art)] = np.where(b[art_rows] < 0, -1.0, 1.0)
+            c1 = np.concatenate([np.zeros(n), np.ones(n_art)])
+            # artificials may leave but never re-enter
+            sx = _Simplex(np.hstack([A, art]), b, basis)
+            status = _phase(sx, c1, n)
+            iters += sx.iterations
+            if status != "optimal":
+                raise NumericalBreakdown("phase-1 objective reported unbounded")
+            phase1 = float(c1[sx.basis] @ (sx.Binv @ b))
+            if phase1 > 1e-8 * max(1.0, np.abs(b).max()):
+                return "infeasible", None, None, kept_rows, iters
+            # drive remaining artificials out of the basis; a row whose
+            # artificial no column can replace is redundant and dropped
+            drop_rows: list[int] = []
+            for p in np.flatnonzero(sx.basis >= n):
+                row = sx.Binv[p, :] @ A
+                for j in np.flatnonzero(np.abs(row) > 1e-7):
+                    if not sx.in_basis[j]:
+                        d = sx.Binv @ A[:, j]
+                        if abs(d[p]) > 1e-7:
+                            sx.pivot(p, j, d)
+                            break
+                else:
+                    drop_rows.append(p)
+            basis = np.delete(sx.basis, drop_rows)
+            if drop_rows:
+                keep = np.delete(np.arange(m), drop_rows)
+                A, b, kept_rows = A[keep], b[keep], kept_rows[keep]
+        sx = _Simplex(A, b, basis)
 
-    status, sx = _phase(A, b, c, basis, n)
+    status = _phase(sx, c, n)
     iters += sx.iterations
     if status == "unbounded":
         return "unbounded", None, None, kept_rows, iters

@@ -1,8 +1,8 @@
 """The pricing engine: the hedging LP, its price-system dual, zero-gap certification.
 
 ``build_primal`` encodes the cheapest super-replication of a claim: choose an
-initial bond endowment and per-node trades so the terminal stock position is
-flat and terminal bonds dominate the payoff, optionally under a liquidation
+initial bond endowment and per-node trades so that liquidating the position
+carried into each leaf covers its payoff, optionally under a liquidation
 floor at every node.  ``build_dual`` encodes the richest pricing measure:
 maximize the expected payoff over all consistent price systems.  On a finite
 tree both problems are ordinary LPs and strong duality makes the
@@ -60,14 +60,15 @@ def build_primal(tree: ScenarioTree, lam, claim: ClaimSpec, cap: AdmissibilityCa
     Columns, ``n`` per block for the tree's ``n`` nodes: ``[x0 | buy | sell
     | consume]``, the free initial bond endowment, then nonnegative buy/sell
     share counts and bond consumption per node.  Holdings are implied by the
-    financing recursion started from (endowment, 0).  Rows: a flat-stock
-    equality per leaf.  Every inequality reads ``-phi0 - mark * phi1 <=
-    -rhs`` at its node: the leaf budgets use mark 0 and rhs X (terminal bonds
-    cover the payoff, consumption absorbs any overshoot).  The liquidation
-    value is the smaller of the bid mark ``phi0 + (1-lam) S phi1`` and the ask
-    mark ``phi0 + S phi1``, so a bounded cap adds a bid-marked row for every
-    node and then an ask-marked one, both with the cap's floor as rhs.  All
-    rows are in node order.  Objective: minimize the endowment.
+    financing recursion started from (endowment, 0).  Every row reads
+    ``-phi0 - mark * phi1 <= -rhs`` at its node: the liquidation value is the
+    smaller of the bid mark ``phi0 + (1-lam) S phi1`` and the ask mark
+    ``phi0 + S phi1``.  Rows: every leaf's bid-marked row, then every leaf's
+    ask-marked one, both with rhs X; a bounded cap adds the same two blocks
+    over every node with the cap's floor as rhs; each block in node order.
+    A leaf's rows read the position carried into it, its parent's, so no
+    leaf column enters any row.  Objective: minimize the endowment.  The
+    no-trade hedge holding ``max X`` bonds is feasible: no phase 1 is run.
     """
     lam = _rate(lam)
     x = claim.payoff_vector(tree)
@@ -83,23 +84,21 @@ def build_primal(tree: ScenarioTree, lam, claim: ClaimSpec, cap: AdmissibilityCa
 
     S = tree.price
     bid = (1.0 - lam) * S
-    # row r covers the trades at the nodes on the root path of nodes[r]
+    # on_path[i] marks the trades that make up the position held after node i
     on_path = tree.path_sum(np.eye(n)) > 0
-    nodes, mark, rhs = leaves, np.zeros(leaves.size), x
+    held = np.arange(n)
+    held[leaves] = tree.parent[leaves]
+    nodes, mark, rhs = np.tile(leaves, 2), np.concatenate([bid[leaves], S[leaves]]), np.tile(x, 2)
     if cap.is_bounded:
         floor = cap.floor(S)
         every = np.arange(n)
         nodes = np.concatenate([nodes, every, every])
         mark = np.concatenate([mark, bid, S])
         rhs = np.concatenate([rhs, floor, floor])
-    rows = on_path[nodes]
+    rows = on_path[held[nodes]]
     mark = mark[:, None]
-    # np.where keeps every structural zero +0.0
-    # leaf equalities: the terminal stock position is flat
-    A_eq = np.zeros((leaves.size, n_vars))
-    A_eq[:, buy] = np.where(on_path[leaves], 1.0, 0.0)
-    A_eq[:, sell] = np.where(on_path[leaves], -1.0, 0.0)
-    # -phi0 - mark * phi1 <= -rhs in trade variables
+    # -phi0 - mark * phi1 <= -rhs in trade variables; np.where keeps every
+    # structural zero +0.0
     A_ub = np.zeros((nodes.size, n_vars))
     A_ub[:, 0] = -1.0
     A_ub[:, buy] = np.where(rows, S - mark, 0.0)
@@ -113,8 +112,6 @@ def build_primal(tree: ScenarioTree, lam, claim: ClaimSpec, cap: AdmissibilityCa
     return LinearProgram(
         c=c,
         objective_sense="minimize",
-        A_eq=A_eq,
-        b_eq=np.zeros(leaves.size),
         A_ub=A_ub,
         b_ub=-rhs,
         lower=lower,
@@ -186,7 +183,9 @@ def extract_strategy(solution: LpSolution, tree: ScenarioTree) -> Strategy:
     """Read the optimal trades out of a solution of ``build_primal``'s LP for
     ``tree``, whose ``1 + 3n`` columns are ``[x0 | buy | sell | consume]``.
 
-    A solution of another size is a ``ShapeMismatch``.  Tiny negative trade
+    Each leaf liquidates the holding ``h`` carried into it (sells ``h`` at
+    the bid, or buys ``-h`` at the ask), so every hedge ends flat.  A
+    solution of another size is a ``ShapeMismatch``.  Tiny negative trade
     values (solver dust) are clamped to zero; anything beyond 1e-9 fails the
     financing certificate.
     """
@@ -199,27 +198,31 @@ def extract_strategy(solution: LpSolution, tree: ScenarioTree) -> Strategy:
     worst = min(buy.min(initial=0.0), sell.min(initial=0.0), consume.min(initial=0.0))
     if worst < -1e-9:
         raise CertificateFailure(f"extracted trades violate nonnegativity by {-worst}")
-    return Strategy(
-        (x0, 0.0), np.maximum(buy, 0.0), np.maximum(sell, 0.0), np.maximum(consume, 0.0)
-    )
+    buy, sell, leaves = np.maximum(buy, 0.0), np.maximum(sell, 0.0), tree.leaves
+    held = (tree.path_sum(buy) - tree.path_sum(sell))[tree.parent[leaves]]
+    buy[leaves], sell[leaves] = np.maximum(-held, 0.0), np.maximum(held, 0.0)
+    return Strategy((x0, 0.0), buy, sell, np.maximum(consume, 0.0))
 
 
-def dual_cps_from_primal(tree: ScenarioTree, solution: LpSolution) -> ConsistentPriceSystem:
+def dual_cps_from_primal(tree: ScenarioTree, lam, solution: LpSolution) -> ConsistentPriceSystem:
     """Map the hedging LP's own multipliers to a price system.
 
-    The budget multiplier of each leaf is the pricing-measure weight, the
-    flat-stock multiplier the stock-account weight; dividing their subtree
-    sums by the physical path probability yields the martingale pair.  Valid
-    for the unbounded-cap LP, whose only rows are the leaf blocks.
+    With ``a`` and ``b`` the negated multipliers of the leaf bid-marked and
+    ask-marked rows, a leaf's pricing-measure weight is ``a + b`` and its
+    stock-account weight ``(1-lam) S a + S b``; dividing their subtree sums
+    by the physical path probability yields the martingale pair.  Valid for
+    the unbounded-cap LP, whose only rows are the leaf rows.
     """
+    lam = _rate(lam)
     if solution.status != "optimal":
         raise CertificateFailure(f"primal solution status is {solution.status}")
     leaves = tree.leaves
-    if solution.y_ub.size > leaves.size:
+    if solution.y_ub.size > 2 * leaves.size:
         raise ValidationError("multiplier mapping applies to the unbounded-cap program")
+    a, b = -solution.y_ub.reshape(2, leaves.size)
     weights = np.zeros((tree.node_count, 2))
-    weights[leaves, 0] = -solution.y_ub[: leaves.size]
-    weights[leaves, 1] = solution.y_eq[: leaves.size]
+    weights[leaves, 0] = a + b
+    weights[leaves, 1] = (1.0 - lam) * tree.price[leaves] * a + tree.price[leaves] * b
     beta, alpha = tree.subtree_sum(weights).T
     z0 = beta / tree.path_prob
     z1 = alpha / tree.path_prob
@@ -338,12 +341,14 @@ def superhedge_price(
     z0 + phi1 * z1`` of hedge and price system a supermartingale under the
     physical measure (shadow wealth as a Q-supermartingale, in division-free
     form, valid whether or not the density vanishes somewhere).
-    A bounded cap adds one solve of the capped hedging LP for the hedge and
-    the primal value; the dual value and price system stay those of the
-    cap-free program.  The capped price may be higher; a capped LP that ends
-    without an optimum is reported, not raised.  ``DualInfeasible`` is raised
-    when the unbounded-cap LP is unbounded, that is, when no price system
-    exists at all: the market itself admits arbitrage at this friction.
+    A bounded cap that the cap-free hedge meets (its minimal bound of the
+    cap's kind is at most M) keeps that hedge, optimal for the capped program
+    too.  A binding cap adds one solve of the capped hedging LP for the hedge
+    and the primal value; the dual value and price system stay those of the
+    cap-free program.  The capped price may be higher; a capped LP that ends without
+    an optimum is reported, not raised.  ``DualInfeasible`` is raised when
+    the unbounded-cap LP is unbounded, that is, when no price system exists
+    at all: the market itself admits arbitrage at this friction.
     """
     lam = _rate(lam)
     cap = cap or AdmissibilityCap.unbounded()
@@ -355,24 +360,26 @@ def superhedge_price(
         )
     if pricing_sol.status != "optimal":
         raise CertificateFailure(f"hedging program ended with status {pricing_sol.status}")
-    cps = dual_cps_from_primal(tree, pricing_sol)
+    cps = dual_cps_from_primal(tree, lam, pricing_sol)
     dual_value = expected_claim(tree, cps, claim)
     complementary_slackness = pricing_sol.certificate.ok
+    primal_sol, strategy = pricing_sol, extract_strategy(pricing_sol, tree)
 
     if cap.is_bounded:
-        primal_sol = solve(build_primal(tree, lam, claim, cap))
-        if primal_sol.status == "unbounded":
-            raise CertificateFailure(
-                "capped program unbounded although the cap-free one is bounded"
-            )
-        if primal_sol.status == "optimal":
-            complementary_slackness = complementary_slackness and primal_sol.certificate.ok
-    else:
-        primal_sol = pricing_sol
+        free_values = portfolio_path(tree, lam, strategy).liquidation
+        if _minimal_bound(tree, free_values, cap.kind) > cap.bound:
+            primal_sol = solve(build_primal(tree, lam, claim, cap))
+            if primal_sol.status == "unbounded":
+                raise CertificateFailure(
+                    "capped program unbounded although the cap-free one is bounded"
+                )
+            strategy = None
+            if primal_sol.status == "optimal":
+                complementary_slackness = complementary_slackness and primal_sol.certificate.ok
+                strategy = extract_strategy(primal_sol, tree)
 
     optimal = primal_sol.status == "optimal"
     primal_value = primal_sol.objective if optimal else math.inf
-    strategy = extract_strategy(primal_sol, tree) if optimal else None
     certificates, computed_bound = _certify(tree, lam, claim, strategy, cps, cap)
     certificates["complementary_slackness"] = complementary_slackness
 

@@ -313,6 +313,81 @@ class TestOracleAgreement:
             assert verify_certificate(lp, sol).ok
 
 
+def count_phases(monkeypatch) -> list:
+    """Record each call of ``lp._phase``, which runs one simplex phase."""
+    import spreadhedge.lp as lp_module
+
+    calls = []
+    phase = lp_module._phase
+
+    def counted(*args):
+        calls.append(args)
+        return phase(*args)
+
+    monkeypatch.setattr(lp_module, "_phase", counted)
+    return calls
+
+
+def crash_lp() -> LinearProgram:
+    """A small hedging-like program: a free endowment x0 on every row, two
+    budgets short of it, one floor; minimize x0 + 2y + z."""
+    return LinearProgram(
+        c=[1.0, 2.0, 1.0],
+        A_ub=[[-1.0, -3.0, 1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, -1.0]],
+        b_ub=[-4.0, -1.0, 5.0],
+        lower=[-INF, 0.0, 0.0],
+        upper=[INF, 2.0, INF],
+    )
+
+
+class TestCrash:
+    @pytest.mark.parametrize("make", [two_var_hedge_lp, crash_lp])
+    def test_free_endowment_column_skips_phase_1(self, make, monkeypatch):
+        calls = count_phases(monkeypatch)
+        lp = make()
+        sol = solve(lp)
+        assert len(calls) == 1
+        vertices = brute_force_vertices(lp)
+        assert abs(sol.objective - vertices[0][1]) < 1e-9 * (1 + abs(sol.objective))
+        assert sol.certificate.ok
+
+    def test_hedging_lp_starts_from_the_no_trade_hedge(self, monkeypatch):
+        from tests.test_acceptance import suite_instance  # that module imports this one
+
+        calls = count_phases(monkeypatch)
+        for seed in range(1, 11):
+            tree, claim, lam = suite_instance(seed)
+            for cap in (AdmissibilityCap.unbounded(), AdmissibilityCap.numeraire_free(1.0)):
+                calls.clear()
+                assert solve(build_primal(tree, lam, claim, cap)).status == "optimal"
+                assert len(calls) == 1, (seed, cap)
+
+    @pytest.mark.parametrize(
+        "lp, status, objective",
+        [
+            # entering x at its row makes the slack of x <= 0.5 negative
+            (LinearProgram(c=[1.0, 2.0], A_ub=[[-1.0, -1.0], [1.0, 0.0]], b_ub=[-1.0, 0.5]), "optimal", 1.5),
+            (LinearProgram(c=[1.0], A_ub=[[-1.0], [1.0]], b_ub=[-1.0, 0.5]), "infeasible", None),
+            # no column is negative on both short rows
+            (LinearProgram(c=[1.0, 1.0], A_ub=[[-1.0, 0.0], [0.0, -1.0]], b_ub=[-1.0, -2.0]), "optimal", 3.0),
+            # an equality row has no slack
+            (
+                LinearProgram(c=[1.0, 1.0], A_eq=[[1.0, -1.0]], b_eq=[0.5], A_ub=[[-1.0, -1.0]], b_ub=[-2.0]),
+                "optimal",
+                2.0,
+            ),
+        ],
+    )
+    def test_programs_the_crash_cannot_start_run_phase_1(self, lp, status, objective, monkeypatch):
+        calls = count_phases(monkeypatch)
+        sol = solve(lp)
+        assert sol.status == status
+        assert len(calls) == (2 if status == "optimal" else 1)
+        if objective is not None:
+            assert abs(sol.objective - objective) < 1e-9
+            assert abs(brute_force_vertices(lp)[0][1] - objective) < 1e-9
+
+
 def per_column_standard_form(lp: LinearProgram, sign: float):
     """The standard form built one variable at a time, each variable kept as
     a ``(kind, columns, offset)`` record: the reference for the array build.

@@ -13,6 +13,7 @@ from spreadhedge import (
     DualInfeasible,
     LinearProgram,
     PreconditionViolated,
+    PriceModel,
     ShapeMismatch,
     ValidationError,
     build_dual,
@@ -101,18 +102,21 @@ class TestBuildPrimal:
 
 
     def test_matches_leaf_ancestry_assembly_byte_for_byte(self):
+        caps = [UNBOUNDED, AdmissibilityCap.numeraire_based(100.0), AdmissibilityCap.numeraire_free(1.0)]
         for seed in range(1, 41):
             tree, claim, lam = suite_instance(seed)
-            lp = build_primal(tree, lam, claim, UNBOUNDED)
-            ref = _ancestry_primal_arrays(tree, lam, claim, UNBOUNDED)
-            got = (lp.A_eq, lp.b_eq, lp.A_ub, lp.b_ub)
-            for name, a, b in zip(("A_eq", "b_eq", "A_ub", "b_ub"), got, ref):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (seed, name)
+            for cap in caps:
+                lp = build_primal(tree, lam, claim, cap)
+                ref = _marked_primal_arrays(tree, lam, claim, cap)
+                assert lp.A_eq.shape == (0, 3 * tree.node_count + 1), (seed, cap)
+                for name, a, b in zip(("A_ub", "b_ub"), (lp.A_ub, lp.b_ub), ref):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (seed, cap, name)
 
     def test_marked_floor_rows_match_long_short_split(self):
-        # the floor as two marked rows per node prices like the long/short
-        # split of the stock position it replaces
+        # the marked terminal and floor rows price like the flat-stock
+        # equalities and the long/short split of the stock position they replace
         caps = [
+            UNBOUNDED,
             AdmissibilityCap.numeraire_based(100.0),
             AdmissibilityCap.numeraire_free(1.0),
             AdmissibilityCap.numeraire_based(0.0),
@@ -122,14 +126,46 @@ class TestBuildPrimal:
             n, n_leaves = tree.node_count, tree.leaves.size
             for cap in caps:
                 lp = build_primal(tree, lam, claim, cap)
+                n_floor = 2 * n if cap.is_bounded else 0
                 assert lp.c.size == 3 * n + 1, (seed, cap)
-                assert lp.A_eq.shape == (n_leaves, 3 * n + 1), (seed, cap)
-                assert lp.A_ub.shape == (n_leaves + 2 * n, 3 * n + 1), (seed, cap)
+                assert lp.A_eq.shape == (0, 3 * n + 1), (seed, cap)
+                assert lp.A_ub.shape == (2 * n_leaves + n_floor, 3 * n + 1), (seed, cap)
                 got = solve(lp)
                 ref = solve(_split_primal_lp(tree, lam, claim, cap))
                 assert got.status == ref.status == "optimal", (seed, cap)
                 tol = 1e-9 * max(1.0, abs(ref.objective))
                 assert abs(got.objective - ref.objective) <= tol, (seed, cap)
+
+
+def _marked_primal_arrays(tree, lam, claim, cap):
+    """``build_primal``'s ``A_ub`` and ``b_ub`` assembled row by row: each
+    leaf's bid-marked and then ask-marked row over the trades on its
+    parent's root path, then a bounded cap's bid-marked and ask-marked floor
+    rows over each node's own root path (a leaf's parent's)."""
+    x = claim.payoff_vector(tree)
+    n = tree.node_count
+    S = tree.price
+    bid = (1.0 - lam) * S
+    leaves = tree.leaves.tolist()
+    nodes = leaves + leaves
+    marks = [bid[l] for l in leaves] + [S[l] for l in leaves]
+    rhs = list(x) + list(x)
+    if cap.is_bounded:
+        floor = cap.floor(S)
+        nodes += list(range(n)) * 2
+        marks += list(bid) + list(S)
+        rhs += list(floor) + list(floor)
+    A_ub, b_ub = np.zeros((len(nodes), 1 + 3 * n)), np.zeros(len(nodes))
+    is_leaf = set(leaves)
+    for r, (node, mark) in enumerate(zip(nodes, marks)):
+        held = tree.parent[node] if node in is_leaf else node
+        A_ub[r, 0] = -1.0
+        for a in [int(held)] + tree.ancestors(int(held)):
+            A_ub[r, 1 + a] = S[a] - mark
+            A_ub[r, 1 + n + a] = mark - bid[a]
+            A_ub[r, 1 + 2 * n + a] = 1.0
+        b_ub[r] = -rhs[r]
+    return A_ub, b_ub
 
 
 def _split_primal_lp(tree, lam, claim, cap):
@@ -154,9 +190,10 @@ def _split_primal_lp(tree, lam, claim, cap):
 
 
 def _ancestry_primal_arrays(tree, lam, claim, cap):
-    """The hedging LP's constraint arrays assembled node by node from each
-    row's root path, as build_primal did before the tree walked its paths;
-    a bounded cap splits the stock position into long and short parts."""
+    """The hedging LP's constraint arrays in their earlier form, assembled
+    node by node from each row's root path: a flat-stock equality and a bond
+    budget per leaf, over the leaf's own trades too; a bounded cap splits
+    the stock position into long and short parts."""
     x = claim.payoff_vector(tree)
     n = tree.node_count
     n_leaves = tree.leaves.size
@@ -333,6 +370,59 @@ class TestSuperhedgePrice:
             b1, 0.1, mid.strategy, AdmissibilityCap.numeraire_based(100.0 / 9.0)
         )
 
+    def test_cap_that_does_not_bind_costs_no_capped_solve(self, b1, c1, monkeypatch):
+        import spreadhedge.superhedge as superhedge
+
+        solves = []
+        monkeypatch.setattr(superhedge, "solve", lambda lp: solves.append(lp) or solve(lp))
+        # the call's cap-free hedge never liquidates below 0
+        free = superhedge_price(b1, 0.1, c1)
+        capped = superhedge_price(b1, 0.1, c1, AdmissibilityCap.numeraire_based(0.0))
+        assert len(solves) == 2
+        assert capped.strategy.to_json() == free.strategy.to_json()
+        assert capped.primal_value == free.primal_value
+        assert capped.computed_cap_bound == free.computed_cap_bound == 0.0
+        # collecting -50 down needs a floor of -100/9, so a cap of 0 binds
+        superhedge_price(b1, 0.1, ClaimSpec({1: 0.0, 2: -50.0}), AdmissibilityCap.numeraire_based(0.0))
+        assert len(solves) == 4
+
+    def test_caps_that_do_not_bind_are_certified(self):
+        # the capped solves of these caps used to break down or certify a
+        # hedge that fails to dominate (floors near -1e8, or a cap of 7.3e-9);
+        # most do not bind, and a cap never lowers the price
+        caps = [
+            AdmissibilityCap.numeraire_free(1e5),
+            AdmissibilityCap.numeraire_free(1e6),
+            AdmissibilityCap.numeraire_based(7.3e-9),
+        ]
+        for seed in range(1, 41):
+            tree, claim, lam = suite_instance(seed)
+            free = superhedge_price(tree, lam, claim)
+            for cap in caps:
+                rep = superhedge_price(tree, lam, claim, cap)
+                assert rep.all_certified(), (seed, cap, rep.certificates)
+                tol = 1e-9 * max(1.0, abs(free.primal_value))
+                assert rep.primal_value >= free.primal_value - tol, (seed, cap)
+
+    def test_non_straddle_verdicts(self):
+        # markets that may admit arbitrage: a tree is priced exactly when a
+        # price system exists, on 261 of the 400 (tree, rate) pairs
+        model = PriceModel(0.8, 1.3, straddle=False)
+        priced = 0
+        for seed in range(80):
+            tree = generate_random_tree(seed, 1 + seed % 4, 2 + seed % 2, model)
+            claim = ClaimSpec({int(l): max(float(tree.price[l]) - 100.0, 0.0) for l in tree.leaves})
+            for lam in (0.0, 0.01, 0.1, 0.3, 0.6):
+                exists = has_cps(tree, lam)
+                try:
+                    superhedge_price(tree, lam, claim)
+                except DualInfeasible:
+                    assert not exists, (seed, lam)
+                else:
+                    assert exists, (seed, lam)
+                    priced += 1
+        assert priced == 261
+
     def test_report_is_a_frozen_record(self, b1, c1):
         rep = superhedge_price(b1, 0.1, c1)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -376,9 +466,9 @@ class TestDualOfPrimal:
     def test_multiplier_mapping_rejects_capped_solve(self, b1, c1):
         lp = build_primal(b1, 0.1, c1, AdmissibilityCap.numeraire_based(100.0))
         sol = solve(lp)
-        assert sol.status == "optimal"
-        with pytest.raises(ValidationError):
-            dual_cps_from_primal(b1, sol)
+        assert sol.status == "optimal" and sol.y_ub.size == 2 * 2 + 2 * 3
+        with pytest.raises(ValidationError, match="unbounded-cap program"):
+            dual_cps_from_primal(b1, 0.1, sol)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(seed=st.integers(1, 10_000))
@@ -388,7 +478,7 @@ class TestDualOfPrimal:
         lam = 0.05 + (seed % 6) * 0.06
         lp = build_primal(tree, lam, claim, UNBOUNDED)
         sol = solve(lp)
-        cps = dual_cps_from_primal(tree, sol)
+        cps = dual_cps_from_primal(tree, lam, sol)
         assert verify_cps(tree, lam, cps)
         assert abs(expected_claim(tree, cps, claim) - sol.objective) < 1e-7 * (
             1 + abs(sol.objective)
