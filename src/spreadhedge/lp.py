@@ -70,7 +70,7 @@ class LinearProgram:
 
     ``objective_sense`` is ``"minimize"`` or ``"maximize"``.  ``lower``/``upper``
     default to ``0``/``+inf``; use ``-inf`` lower bounds for free variables.
-    ``names`` are optional labels used by report extraction.
+    ``names`` are optional labels; the solver does not read them.
     """
 
     c: np.ndarray
@@ -126,21 +126,6 @@ class LinearProgram:
     @property
     def n_vars(self) -> int:
         return self.c.size
-
-    def dump(self) -> str:
-        """Plain-text standard form, for external cross-checking."""
-        lines = [f"sense {self.objective_sense}", "c " + " ".join(repr(v) for v in self.c)]
-        for i in range(self.A_eq.shape[0]):
-            lines.append(
-                "eq  " + " ".join(repr(v) for v in self.A_eq[i]) + f" = {self.b_eq[i]!r}"
-            )
-        for i in range(self.A_ub.shape[0]):
-            lines.append(
-                "ub  " + " ".join(repr(v) for v in self.A_ub[i]) + f" <= {self.b_ub[i]!r}"
-            )
-        lines.append("lower " + " ".join(repr(v) for v in self.lower))
-        lines.append("upper " + " ".join(repr(v) for v in self.upper))
-        return "\n".join(lines) + "\n"
 
 
 @dataclass

@@ -1,16 +1,17 @@
 """The pricing engine: the hedging LP, its price-system dual, zero-gap certification.
 
 ``build_primal`` encodes the cheapest super-replication of a claim: choose an
-initial bond endowment and per-node trades so that liquidating the position
-carried into each leaf covers its payoff, optionally under a liquidation
-floor at every node.  ``build_dual`` encodes the richest pricing measure:
-maximize the expected payoff over all consistent price systems.  On a finite
-tree both problems are ordinary LPs and strong duality makes the
-super-replication price equal the dual value exactly.  ``superhedge_price``
-solves only the hedging LP: its multipliers already form an optimal price
-system (``dual_cps_from_primal``), so one solve yields the hedge, the price
-system and the zero-gap certificate between the two.  ``build_dual`` is kept
-only as the independent test oracle; no runtime path solves it.
+initial bond endowment and the trades at each internal node so that
+liquidating the position carried into each leaf covers its payoff,
+optionally under a liquidation floor at every node.  ``build_dual`` encodes
+the richest pricing measure: maximize the expected payoff over all
+consistent price systems.  On a finite tree both problems are ordinary LPs
+and strong duality makes the super-replication price equal the dual value
+exactly.  ``superhedge_price`` solves only the hedging LP: its multipliers
+already form an optimal price system (``dual_cps_from_primal``), so one
+solve yields the hedge, the price system and the zero-gap certificate
+between the two.  ``build_dual`` is kept only as the independent test
+oracle; no runtime path solves it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
     CertificateFailure,
     DualInfeasible,
     PreconditionViolated,
+    ShapeMismatch,
     ValidationError,
 )
 from .lp import LinearProgram, LpSolution, solve
@@ -57,53 +59,48 @@ GAP_TOL = 1e-7
 def build_primal(tree: ScenarioTree, lam, claim: ClaimSpec, cap: AdmissibilityCap) -> LinearProgram:
     """Assemble the super-replication LP.
 
-    Columns, ``n`` per block for the tree's ``n`` nodes: ``[x0 | buy | sell
-    | consume]``, the free initial bond endowment, then nonnegative buy/sell
-    share counts and bond consumption per node.  Holdings are implied by the
-    financing recursion started from (endowment, 0).  Every row reads
-    ``-phi0 - mark * phi1 <= -rhs`` at its node: the liquidation value is the
-    smaller of the bid mark ``phi0 + (1-lam) S phi1`` and the ask mark
-    ``phi0 + S phi1``.  Rows: every leaf's bid-marked row, then every leaf's
-    ask-marked one, both with rhs X; a bounded cap adds the same two blocks
-    over every node with the cap's floor as rhs; each block in node order.
-    A leaf's rows read the position carried into it, its parent's, so no
-    leaf column enters any row.  Objective: minimize the endowment.  The
-    no-trade hedge holding ``max X`` bonds is feasible: no phase 1 is run.
+    Columns, ``I`` per block for the tree's ``I`` internal nodes in id
+    order: ``[x0 | buy | sell]``, the free initial bond endowment, then the
+    nonnegative share counts bought and sold at each internal node.  A leaf
+    only liquidates (``extract_strategy``), and no bond is consumed: a
+    consumption costs nothing and only tightens the rows.  Holdings are
+    implied by the financing recursion started from (endowment, 0).  Every
+    row reads ``-phi0 - mark * phi1 <= -rhs`` over the trades on its node's
+    root path, so a leaf's rows read the position its parent carries in.
+    The liquidation value is the smaller of the bid mark
+    ``phi0 + (1-lam) S phi1`` and the ask mark ``phi0 + S phi1``.  Rows:
+    every leaf's bid-marked row, then every leaf's ask-marked one, with rhs
+    X, or ``max(X, floor)`` under a bounded cap; a bounded cap adds the same
+    two blocks over the internal nodes with the cap's floor as rhs; each
+    block in node order.  Objective: minimize the endowment.  The no-trade
+    hedge holding the largest rhs in bonds is feasible: no phase 1 is run.
     """
     lam = _rate(lam)
     x = claim.payoff_vector(tree)
-    n = tree.node_count
-    leaves = tree.leaves
-
-    n_vars = 1 + 3 * n
-    buy, sell, consume = (slice(1 + k * n, 1 + (k + 1) * n) for k in range(3))
-    names = ["x0"]
-    names += [f"buy[{i}]" for i in range(n)]
-    names += [f"sell[{i}]" for i in range(n)]
-    names += [f"consume[{i}]" for i in range(n)]
+    leaves, internal = tree.leaves, tree.internal
+    n_vars = 1 + 2 * internal.size
+    buy, sell = slice(1, 1 + internal.size), slice(1 + internal.size, n_vars)
+    names = ["x0"] + [f"buy[{i}]" for i in internal] + [f"sell[{i}]" for i in internal]
 
     S = tree.price
     bid = (1.0 - lam) * S
-    # on_path[i] marks the trades that make up the position held after node i
-    on_path = tree.path_sum(np.eye(n)) > 0
-    held = np.arange(n)
-    held[leaves] = tree.parent[leaves]
     nodes, mark, rhs = np.tile(leaves, 2), np.concatenate([bid[leaves], S[leaves]]), np.tile(x, 2)
     if cap.is_bounded:
+        # no row asks less than its node's floor: a leaf's floor rows would
+        # repeat its terminal rows with a smaller rhs
         floor = cap.floor(S)
-        every = np.arange(n)
-        nodes = np.concatenate([nodes, every, every])
-        mark = np.concatenate([mark, bid, S])
-        rhs = np.concatenate([rhs, floor, floor])
-    rows = on_path[held[nodes]]
+        nodes = np.concatenate([nodes, internal, internal])
+        mark = np.concatenate([mark, bid[internal], S[internal]])
+        rhs = np.maximum(np.concatenate([rhs, floor[internal], floor[internal]]), floor[nodes])
+    # rows[r, k]: internal node k trades on the root path of row r's node
+    rows = (tree.path_sum(np.eye(tree.node_count)[:, internal]) > 0)[nodes]
     mark = mark[:, None]
     # -phi0 - mark * phi1 <= -rhs in trade variables; np.where keeps every
     # structural zero +0.0
     A_ub = np.zeros((nodes.size, n_vars))
     A_ub[:, 0] = -1.0
-    A_ub[:, buy] = np.where(rows, S - mark, 0.0)
-    A_ub[:, sell] = np.where(rows, mark - bid, 0.0)
-    A_ub[:, consume] = np.where(rows, 1.0, 0.0)
+    A_ub[:, buy] = np.where(rows, S[internal] - mark, 0.0)
+    A_ub[:, sell] = np.where(rows, mark - bid[internal], 0.0)
 
     c = np.zeros(n_vars)
     c[0] = 1.0
@@ -181,27 +178,32 @@ def build_dual(tree: ScenarioTree, lam, claim: ClaimSpec) -> LinearProgram:
 
 def extract_strategy(solution: LpSolution, tree: ScenarioTree) -> Strategy:
     """Read the optimal trades out of a solution of ``build_primal``'s LP for
-    ``tree``, whose ``1 + 3n`` columns are ``[x0 | buy | sell | consume]``.
+    ``tree``, whose ``1 + 2I`` columns are ``[x0 | buy | sell]`` over the
+    ``I`` internal nodes.
 
     Each leaf liquidates the holding ``h`` carried into it (sells ``h`` at
-    the bid, or buys ``-h`` at the ask), so every hedge ends flat.  A
-    solution of another size is a ``ShapeMismatch``.  Tiny negative trade
-    values (solver dust) are clamped to zero; anything beyond 1e-9 fails the
-    financing certificate.
+    the bid, or buys ``-h`` at the ask), so every hedge ends flat; nothing is
+    consumed.  A solution of another size is a ``ShapeMismatch``.  Tiny
+    negative trade values (solver dust) are clamped to zero; anything beyond
+    1e-9 fails the financing certificate.
     """
     if solution.status != "optimal":
         raise CertificateFailure(f"primal solution status is {solution.status}")
-    count = (solution.x.size - 1) / 3
-    tree.check_size("hedging-LP solution", int(count) if count.is_integer() else count)
-    x0 = float(solution.x[0])
-    buy, sell, consume = np.asarray(solution.x[1:], dtype=float).reshape(3, tree.node_count)
-    worst = min(buy.min(initial=0.0), sell.min(initial=0.0), consume.min(initial=0.0))
+    internal, leaves, n = tree.internal, tree.leaves, tree.node_count
+    if solution.x.size != 1 + 2 * internal.size:
+        raise ShapeMismatch(
+            f"hedging-LP solution has {solution.x.size} entries, "
+            f"the tree's program has {1 + 2 * internal.size}"
+        )
+    trades = np.asarray(solution.x[1:], dtype=float).reshape(2, internal.size)
+    worst = trades.min(initial=0.0)
     if worst < -1e-9:
         raise CertificateFailure(f"extracted trades violate nonnegativity by {-worst}")
-    buy, sell, leaves = np.maximum(buy, 0.0), np.maximum(sell, 0.0), tree.leaves
+    buy, sell = np.zeros((2, n))
+    buy[internal], sell[internal] = np.maximum(trades, 0.0)
     held = (tree.path_sum(buy) - tree.path_sum(sell))[tree.parent[leaves]]
     buy[leaves], sell[leaves] = np.maximum(-held, 0.0), np.maximum(held, 0.0)
-    return Strategy((x0, 0.0), buy, sell, np.maximum(consume, 0.0))
+    return Strategy((float(solution.x[0]), 0.0), buy, sell, np.zeros(n))
 
 
 def dual_cps_from_primal(tree: ScenarioTree, lam, solution: LpSolution) -> ConsistentPriceSystem:
@@ -296,16 +298,18 @@ class SuperHedgeReport:
         }
 
 
-def _certify(tree, lam, claim, strategy, cps, cap) -> tuple[dict, float]:
+def _certify(tree, lam, claim, strategy, cps, cap, path=None) -> tuple[dict, float]:
     """Judge a hedge (None: there is none) and a price system, whichever
-    engine made them, deriving the hedge's holdings and the leaf payoffs
-    once.  Returns the certificates, ``admissibility`` judged under ``cap``,
-    and the hedge's own minimal bound for ``cap.kind`` (NaN without one)."""
+    engine made them, deriving the hedge's holdings (``path``, unless the
+    caller has them) and the leaf payoffs once.  Returns the certificates,
+    ``admissibility`` judged under ``cap``, and the hedge's own minimal
+    bound for ``cap.kind`` (NaN without one)."""
     cps_ok = bool(verify_cps(tree, lam, cps))
     if strategy is None:
         hedge = dict.fromkeys(("self_financing", "terminal_dominates", "admissibility"))
         return {**hedge, "cps": cps_ok, "supermartingale": None}, math.nan
-    path = portfolio_path(tree, lam, strategy)
+    if path is None:
+        path = portfolio_path(tree, lam, strategy)
     x = claim.payoff_vector(tree)
     leaves = tree.leaves
     scale = np.maximum(1.0, np.abs(x))
@@ -364,23 +368,22 @@ def superhedge_price(
     dual_value = expected_claim(tree, cps, claim)
     complementary_slackness = pricing_sol.certificate.ok
     primal_sol, strategy = pricing_sol, extract_strategy(pricing_sol, tree)
+    path = portfolio_path(tree, lam, strategy)
 
-    if cap.is_bounded:
-        free_values = portfolio_path(tree, lam, strategy).liquidation
-        if _minimal_bound(tree, free_values, cap.kind) > cap.bound:
-            primal_sol = solve(build_primal(tree, lam, claim, cap))
-            if primal_sol.status == "unbounded":
-                raise CertificateFailure(
-                    "capped program unbounded although the cap-free one is bounded"
-                )
-            strategy = None
-            if primal_sol.status == "optimal":
-                complementary_slackness = complementary_slackness and primal_sol.certificate.ok
-                strategy = extract_strategy(primal_sol, tree)
+    if cap.is_bounded and _minimal_bound(tree, path.liquidation, cap.kind) > cap.bound:
+        primal_sol = solve(build_primal(tree, lam, claim, cap))
+        if primal_sol.status == "unbounded":
+            raise CertificateFailure(
+                "capped program unbounded although the cap-free one is bounded"
+            )
+        strategy = path = None
+        if primal_sol.status == "optimal":
+            complementary_slackness = complementary_slackness and primal_sol.certificate.ok
+            strategy = extract_strategy(primal_sol, tree)
 
     optimal = primal_sol.status == "optimal"
     primal_value = primal_sol.objective if optimal else math.inf
-    certificates, computed_bound = _certify(tree, lam, claim, strategy, cps, cap)
+    certificates, computed_bound = _certify(tree, lam, claim, strategy, cps, cap, path)
     certificates["complementary_slackness"] = complementary_slackness
 
     gap = abs(primal_value - dual_value) if np.isfinite(primal_value) else math.inf

@@ -179,12 +179,6 @@ class TestSolveBasics:
         sol = solve(LinearProgram(c=[1.0, 2.0], A_eq=[[0.0, 0.0]], b_eq=[0.0]))
         assert sol.x.tolist() == [0.0, 0.0] and sol.y_eq.tolist() == [0.0]
 
-    def test_debug_dump_lists_rows_and_bounds(self):
-        text = two_var_hedge_lp().dump()
-        assert text.startswith("sense minimize")
-        assert text.count("ub ") == 2
-        assert "lower" in text and "upper" in text
-
     def test_determinism_bitwise(self):
         lp = random_box_lp(7)
         a = solve(lp)

@@ -108,7 +108,7 @@ class TestBuildPrimal:
             for cap in caps:
                 lp = build_primal(tree, lam, claim, cap)
                 ref = _marked_primal_arrays(tree, lam, claim, cap)
-                assert lp.A_eq.shape == (0, 3 * tree.node_count + 1), (seed, cap)
+                assert lp.A_eq.shape == (0, 2 * tree.internal.size + 1), (seed, cap)
                 for name, a, b in zip(("A_ub", "b_ub"), (lp.A_ub, lp.b_ub), ref):
                     assert a.shape == b.shape and a.tobytes() == b.tobytes(), (seed, cap, name)
 
@@ -123,13 +123,13 @@ class TestBuildPrimal:
         ]
         for seed in range(1, 41):
             tree, claim, lam = suite_instance(seed)
-            n, n_leaves = tree.node_count, tree.leaves.size
+            n_internal, n_leaves = tree.internal.size, tree.leaves.size
             for cap in caps:
                 lp = build_primal(tree, lam, claim, cap)
-                n_floor = 2 * n if cap.is_bounded else 0
-                assert lp.c.size == 3 * n + 1, (seed, cap)
-                assert lp.A_eq.shape == (0, 3 * n + 1), (seed, cap)
-                assert lp.A_ub.shape == (2 * n_leaves + n_floor, 3 * n + 1), (seed, cap)
+                n_floor = 2 * n_internal if cap.is_bounded else 0
+                assert lp.c.size == 2 * n_internal + 1, (seed, cap)
+                assert lp.A_eq.shape == (0, 2 * n_internal + 1), (seed, cap)
+                assert lp.A_ub.shape == (2 * n_leaves + n_floor, 2 * n_internal + 1), (seed, cap)
                 got = solve(lp)
                 ref = solve(_split_primal_lp(tree, lam, claim, cap))
                 assert got.status == ref.status == "optimal", (seed, cap)
@@ -137,35 +137,111 @@ class TestBuildPrimal:
                 assert abs(got.objective - ref.objective) <= tol, (seed, cap)
 
 
+    def test_dropped_columns_and_rows_change_nothing(self):
+        # leaf trades and consumption enter no optimum, and a leaf's floor
+        # rows repeat its terminal rows: without them the cap-free solve is
+        # the same bit for bit, and the capped one needs no more pivots
+        caps = [
+            AdmissibilityCap.numeraire_based(0.0),
+            AdmissibilityCap.numeraire_based(100.0),
+            AdmissibilityCap.numeraire_free(1.0),
+        ]
+        for seed in range(1, 41):
+            tree, claim, lam = suite_instance(seed)
+            got = solve(build_primal(tree, lam, claim, UNBOUNDED))
+            ref = solve(_full_primal_lp(tree, lam, claim, UNBOUNDED))
+            assert got.objective.hex() == ref.objective.hex(), seed
+            assert got.y_ub.tobytes() == ref.y_ub.tobytes(), seed
+            assert got.iterations == ref.iterations, seed
+            hedge, ref_hedge = extract_strategy(got, tree), _full_extract(ref, tree)
+            assert hedge.initial == ref_hedge.initial, seed
+            for name in ("buy", "sell", "consume"):
+                a, b = getattr(hedge, name), getattr(ref_hedge, name)
+                assert a.tobytes() == b.tobytes(), (seed, name)
+            for cap in caps:
+                got = solve(build_primal(tree, lam, claim, cap))
+                ref = solve(_full_primal_lp(tree, lam, claim, cap))
+                assert got.status == ref.status == "optimal", (seed, cap)
+                assert got.iterations <= ref.iterations, (seed, cap)
+                tol = 1e-12 * max(1.0, abs(ref.objective))
+                assert abs(got.objective - ref.objective) <= tol, (seed, cap)
+
+
 def _marked_primal_arrays(tree, lam, claim, cap):
     """``build_primal``'s ``A_ub`` and ``b_ub`` assembled row by row: each
-    leaf's bid-marked and then ask-marked row over the trades on its
-    parent's root path, then a bounded cap's bid-marked and ask-marked floor
-    rows over each node's own root path (a leaf's parent's)."""
+    leaf's bid-marked and then ask-marked row over the internal trades on
+    its root path (its parent's), with rhs ``max(X, floor)`` under a bounded
+    cap, then the cap's bid-marked and ask-marked floor rows over each
+    internal node's root path."""
     x = claim.payoff_vector(tree)
-    n = tree.node_count
     S = tree.price
     bid = (1.0 - lam) * S
-    leaves = tree.leaves.tolist()
+    internal, leaves = tree.internal.tolist(), tree.leaves.tolist()
+    col = {a: k for k, a in enumerate(internal)}
     nodes = leaves + leaves
     marks = [bid[l] for l in leaves] + [S[l] for l in leaves]
     rhs = list(x) + list(x)
     if cap.is_bounded:
         floor = cap.floor(S)
-        nodes += list(range(n)) * 2
-        marks += list(bid) + list(S)
-        rhs += list(floor) + list(floor)
-    A_ub, b_ub = np.zeros((len(nodes), 1 + 3 * n)), np.zeros(len(nodes))
-    is_leaf = set(leaves)
+        rhs = [np.maximum(v, floor[l]) for v, l in zip(rhs, nodes)]
+        nodes += internal + internal
+        marks += [bid[i] for i in internal] + [S[i] for i in internal]
+        rhs += [floor[i] for i in internal] * 2
+    k = len(internal)
+    A_ub, b_ub = np.zeros((len(nodes), 1 + 2 * k)), np.zeros(len(nodes))
     for r, (node, mark) in enumerate(zip(nodes, marks)):
-        held = tree.parent[node] if node in is_leaf else node
         A_ub[r, 0] = -1.0
-        for a in [int(held)] + tree.ancestors(int(held)):
-            A_ub[r, 1 + a] = S[a] - mark
-            A_ub[r, 1 + n + a] = mark - bid[a]
-            A_ub[r, 1 + 2 * n + a] = 1.0
+        for a in [node] + tree.ancestors(node):
+            if a in col:
+                A_ub[r, 1 + col[a]] = S[a] - mark
+                A_ub[r, 1 + k + col[a]] = mark - bid[a]
         b_ub[r] = -rhs[r]
     return A_ub, b_ub
+
+
+def _full_primal_lp(tree, lam, claim, cap):
+    """The hedging LP with a column per node in every block, ``[x0 | buy |
+    sell | consume]`` (``3n + 1`` columns), and a bounded cap's floor rows
+    at every node: the form before leaf columns, consumption and leaf floor
+    rows were dropped.  No leaf column enters any row."""
+    x = claim.payoff_vector(tree)
+    n = tree.node_count
+    leaves = tree.leaves
+    n_vars = 1 + 3 * n
+    S = tree.price
+    bid = (1.0 - lam) * S
+    on_path = tree.path_sum(np.eye(n)) > 0
+    held = np.arange(n)
+    held[leaves] = tree.parent[leaves]
+    nodes, mark, rhs = np.tile(leaves, 2), np.concatenate([bid[leaves], S[leaves]]), np.tile(x, 2)
+    if cap.is_bounded:
+        floor = cap.floor(S)
+        every = np.arange(n)
+        nodes = np.concatenate([nodes, every, every])
+        mark = np.concatenate([mark, bid, S])
+        rhs = np.concatenate([rhs, floor, floor])
+    rows = on_path[held[nodes]]
+    mark = mark[:, None]
+    A_ub = np.zeros((nodes.size, n_vars))
+    A_ub[:, 0] = -1.0
+    A_ub[:, 1 : 1 + n] = np.where(rows, S - mark, 0.0)
+    A_ub[:, 1 + n : 1 + 2 * n] = np.where(rows, mark - bid, 0.0)
+    A_ub[:, 1 + 2 * n :] = np.where(rows, 1.0, 0.0)
+    c = np.zeros(n_vars)
+    c[0] = 1.0
+    lower = np.zeros(n_vars)
+    lower[0] = -np.inf
+    return LinearProgram(c=c, A_ub=A_ub, b_ub=-rhs, lower=lower)
+
+
+def _full_extract(solution, tree):
+    """The hedge of a ``_full_primal_lp`` solution: trades clamped at zero,
+    each leaf liquidating the holding carried into it."""
+    buy, sell, consume = np.maximum(solution.x[1:], 0.0).reshape(3, tree.node_count)
+    leaves = tree.leaves
+    held = (tree.path_sum(buy) - tree.path_sum(sell))[tree.parent[leaves]]
+    buy[leaves], sell[leaves] = np.maximum(-held, 0.0), np.maximum(held, 0.0)
+    return Strategy((float(solution.x[0]), 0.0), buy, sell, consume)
 
 
 def _split_primal_lp(tree, lam, claim, cap):
@@ -251,10 +327,11 @@ class TestExtractStrategy:
         tree = generate_random_tree(1, depth=2, max_branching=2)
         zero = ClaimSpec({int(l): 0.0 for l in tree.leaves})
         sol = solve(build_primal(tree, 0.1, zero, UNBOUNDED))
-        with pytest.raises(ShapeMismatch, match="^hedging-LP solution indexes 7 nodes, tree has 3$"):
+        message = "^hedging-LP solution has {} entries, the tree's program has {}$"
+        with pytest.raises(ShapeMismatch, match=message.format(7, 3)):
             extract_strategy(sol, b1)
         sol = dataclasses.replace(sol, x=sol.x[:-1])
-        with pytest.raises(ShapeMismatch, match="^hedging-LP solution indexes 6.66"):
+        with pytest.raises(ShapeMismatch, match=message.format(6, 7)):
             extract_strategy(sol, tree)
 
 
@@ -404,6 +481,24 @@ class TestSuperhedgePrice:
                 tol = 1e-9 * max(1.0, abs(free.primal_value))
                 assert rep.primal_value >= free.primal_value - tol, (seed, cap)
 
+    def test_cap_free_holdings_derived_once(self, monkeypatch):
+        # the cap-free hedge's holdings decide whether a cap binds and are
+        # then certified; only a binding cap's hedge needs its own
+        import spreadhedge.superhedge as sh
+
+        calls = []
+        monkeypatch.setattr(sh, "portfolio_path", lambda *a: calls.append(a) or portfolio_path(*a))
+        tree, claim, lam = suite_instance(5)
+        bound = superhedge_price(tree, lam, claim).computed_cap_bound
+        for cap, count in (
+            (UNBOUNDED, 1),
+            (AdmissibilityCap.numeraire_based(bound + 1.0), 1),
+            (AdmissibilityCap.numeraire_based(bound / 2), 2),
+        ):
+            calls.clear()
+            rep = superhedge_price(tree, lam, claim, cap)
+            assert rep.all_certified() and len(calls) == count, cap
+
     def test_non_straddle_verdicts(self):
         # markets that may admit arbitrage: a tree is priced exactly when a
         # price system exists, on 261 of the 400 (tree, rate) pairs
@@ -466,7 +561,7 @@ class TestDualOfPrimal:
     def test_multiplier_mapping_rejects_capped_solve(self, b1, c1):
         lp = build_primal(b1, 0.1, c1, AdmissibilityCap.numeraire_based(100.0))
         sol = solve(lp)
-        assert sol.status == "optimal" and sol.y_ub.size == 2 * 2 + 2 * 3
+        assert sol.status == "optimal" and sol.y_ub.size == 2 * 2 + 2 * 1
         with pytest.raises(ValidationError, match="unbounded-cap program"):
             dual_cps_from_primal(b1, 0.1, sol)
 
