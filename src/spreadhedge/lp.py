@@ -1,8 +1,10 @@
 """Self-contained dense linear-programming kernel with duality certificates.
 
-The solver is a two-phase revised simplex on the standard-form problem
-``min c't  s.t.  At = b, t >= 0`` derived from the general-form input,
-skipping phase 1 when a crash basis is feasible (``_crash``).  Each
+The solver is a revised simplex on the standard-form problem
+``min c't  s.t.  At = b, t >= 0`` derived from the general-form input.  One
+start basis (``_start``: a crash basis, else slacks plus artificials) and one
+``_Simplex`` carry each solve; phase 1 runs only when the start holds
+artificials, and phase 2 continues on its basis.  Each
 variable has one of four bound kinds: fixed (no column), shift (by its lower
 bound), mirror (at its upper bound) or split (free, two columns).  Three
 arrays carry the whole transformation -- ``source`` (the variable behind each
@@ -238,9 +240,11 @@ def _standard_form(lp: LinearProgram, sign: float) -> _StandardForm:
 class _Simplex:
     """Revised simplex with an explicit, periodically refactorized basis inverse.
 
-    The object holds the basis, the mask of basic columns and the basis
-    inverse; ``pivot`` is the only place they change between
-    refactorizations.
+    One object carries a solve from its start basis to its verdict: phase 1
+    (when the start holds artificial columns) and phase 2 run on the same
+    basis and pivot count.  ``pivot`` is the only writer of the basis and
+    the mask of basic columns; ``pivot`` and ``refactorize`` are the only
+    writers of the basis inverse.
     """
 
     REFACTOR_EVERY = 128
@@ -252,11 +256,12 @@ class _Simplex:
         self.basis = basis.copy()
         self.in_basis = np.zeros(A.shape[1], dtype=bool)
         self.in_basis[basis] = True
-        self.Binv = self.refactorize()
+        self.refactorize()
         self.iterations = 0
         self._outer = np.empty((self.m, self.m))
 
-    def refactorize(self) -> np.ndarray:
+    def refactorize(self) -> None:
+        """Invert the basis afresh into ``Binv``."""
         B = self.A[:, self.basis]
         try:
             Binv = np.linalg.solve(B, np.eye(self.m))
@@ -265,7 +270,7 @@ class _Simplex:
         err = np.abs(B @ Binv - np.eye(self.m)).max() if self.m else 0.0
         if not np.isfinite(err) or err > 1e-6:
             raise NumericalBreakdown(f"basis inverse residual {err:.2e}")
-        return Binv
+        self.Binv = Binv
 
     def pivot(self, p: int, j: int, d: np.ndarray) -> None:
         """Column ``j`` replaces the basic column of row ``p``; ``d = B⁻¹A_j``.
@@ -316,7 +321,7 @@ class _Simplex:
             if p is not None and abs(d[p]) < 1e-7:
                 # the update would amplify error by 1/|pivot|; retry from a
                 # fresh factorization before accepting such a step
-                self.Binv = self.refactorize()
+                self.refactorize()
                 since_refactor = 0
                 x_B = self.Binv @ b
                 d = self.Binv @ A[:, j]
@@ -330,7 +335,7 @@ class _Simplex:
             self.iterations += 1
             since_refactor += 1
             if since_refactor >= self.REFACTOR_EVERY:
-                self.Binv = self.refactorize()
+                self.refactorize()
                 since_refactor = 0
 
     def _leaving_row(self, x_B, d, bland: bool):
@@ -353,83 +358,77 @@ def _phase(sx: _Simplex, c: np.ndarray, n: int) -> str:
     return sx.run(c, allowed, 200000 + 100 * (sx.m + n))
 
 
-def _crash(sf: _StandardForm) -> _Simplex | None:
-    """Bixby's crash, one column deep: when every row has a slack and some
-    ``b_r < 0``, the lowest-index structural column negative on every such
-    row enters at the largest ratio ``b_r / a_rj``.  Returns the factorized
-    basis if all its basic values are nonnegative, else None."""
-    short = np.flatnonzero(sf.b < 0)
-    negative = (sf.A[short, : sf.source.size] < 0).all(axis=0)
-    if not short.size or (sf.slack_of_row < 0).any() or not negative.any():
-        return None
-    j = int(np.argmax(negative))
-    basis = sf.slack_of_row.copy()
-    basis[short[np.argmax(sf.b[short] / sf.A[short, j])]] = j
-    sx = _Simplex(sf.A, sf.b, basis)
-    return sx if (sx.Binv @ sf.b >= 0).all() else None
+def _start(sf: _StandardForm) -> tuple[np.ndarray, np.ndarray, int]:
+    """The start basis ``(A, basis, n_art)``: ``A`` is ``sf.A`` with
+    ``n_art`` artificial columns appended, when phase 1 must run.
 
-
-def _solve_standard(
-    sf: _StandardForm,
-) -> tuple[str, np.ndarray | None, np.ndarray | None, np.ndarray, int]:
-    """Two-phase simplex.  Returns (status, x, y, kept_rows, iterations).
-
-    A program without rows needs no special case: its basis is empty, and
-    the first column with a negative cost fails the ratio test.
+    Bixby's one-column crash comes first: when every row has a slack and
+    some ``b_r < 0``, the lowest-index structural column ``j`` negative on
+    all such rows enters at the row ``p`` of the largest ``b_p / a_pj``.  It
+    is kept when the slacks ``b - A_j b_p / a_pj`` (no factorization) are
+    all nonnegative; for the hedging LP's all ``-1`` endowment column they
+    are ``b_r - b_p``, exact.  Otherwise slacks start where ``b_r >= 0``,
+    and an artificial column signed like ``b_r`` on every other row.
     """
-    A, b, c = sf.A, sf.b, sf.c
-    m, n = A.shape
-    kept_rows = np.arange(m)
-    iters = 0
+    A, b = sf.A, sf.b
+    basis = sf.slack_of_row.copy()
+    short = np.flatnonzero(b < 0)
+    negative = (A[short, : sf.source.size] < 0).all(axis=0)
+    if short.size and (basis >= 0).all() and negative.any():
+        j = int(np.argmax(negative))
+        p = short[np.argmax(b[short] / A[short, j])]
+        slack = b - A[:, j] * (b[p] / A[p, j])
+        slack[p] = 0.0
+        if (slack >= 0).all():
+            basis[p] = j
+            return A, basis, 0
+    art_rows = np.flatnonzero((basis < 0) | (b < 0))
+    n_art = art_rows.size
+    basis[art_rows] = A.shape[1] + np.arange(n_art)
+    art = np.zeros((A.shape[0], n_art))
+    art[art_rows, np.arange(n_art)] = np.where(b[art_rows] < 0, -1.0, 1.0)
+    return (np.hstack([A, art]) if n_art else A), basis, n_art
 
-    sx = _crash(sf)
-    if sx is None:
-        # initial basis: slacks where feasible, artificials elsewhere
-        art_rows = np.flatnonzero((sf.slack_of_row < 0) | (b < 0))
-        n_art = art_rows.size
-        basis = sf.slack_of_row.copy()
-        basis[art_rows] = n + np.arange(n_art)
-        if n_art:
-            art = np.zeros((m, n_art))
-            art[art_rows, np.arange(n_art)] = np.where(b[art_rows] < 0, -1.0, 1.0)
-            c1 = np.concatenate([np.zeros(n), np.ones(n_art)])
-            # artificials may leave but never re-enter
-            sx = _Simplex(np.hstack([A, art]), b, basis)
-            status = _phase(sx, c1, n)
-            iters += sx.iterations
-            if status != "optimal":
-                raise NumericalBreakdown("phase-1 objective reported unbounded")
-            phase1 = float(c1[sx.basis] @ (sx.Binv @ b))
-            if phase1 > 1e-8 * max(1.0, np.abs(b).max()):
-                return "infeasible", None, None, kept_rows, iters
-            # drive remaining artificials out of the basis; a row whose
-            # artificial no column can replace is redundant and dropped
-            drop_rows: list[int] = []
-            for p in np.flatnonzero(sx.basis >= n):
-                row = sx.Binv[p, :] @ A
-                for j in np.flatnonzero(np.abs(row) > 1e-7):
-                    if not sx.in_basis[j]:
-                        d = sx.Binv @ A[:, j]
-                        if abs(d[p]) > 1e-7:
-                            sx.pivot(p, j, d)
-                            break
-                else:
-                    drop_rows.append(p)
-            basis = np.delete(sx.basis, drop_rows)
-            if drop_rows:
-                keep = np.delete(np.arange(m), drop_rows)
-                A, b, kept_rows = A[keep], b[keep], kept_rows[keep]
-        sx = _Simplex(A, b, basis)
 
-    status = _phase(sx, c, n)
-    iters += sx.iterations
-    if status == "unbounded":
-        return "unbounded", None, None, kept_rows, iters
-    Binv = sx.refactorize()  # clean final residuals
-    x = np.zeros(n)
-    x[sx.basis] = Binv @ b
-    y = c[sx.basis] @ Binv
-    return "optimal", x, y, kept_rows, iters
+def _solve_standard(sf: _StandardForm) -> tuple[str, np.ndarray | None, np.ndarray | None, int]:
+    """Simplex from ``_start``'s basis on one ``_Simplex``.  Returns
+    (status, t, y, iterations), with a multiplier for every row.
+
+    Phase 1 runs only when the start holds artificial columns; it minimizes
+    their sum, and a positive optimum means "infeasible".  Each artificial
+    left basic is then pivoted out by any column with a nonzero entry in its
+    row; one that no column can replace sits on a redundant row and stays
+    basic at zero.  Phase 2 continues from that basis, refactorized, with the
+    artificials barred from entering.  A program without rows needs no
+    special case: its basis is empty, and the first column with a negative
+    cost fails the ratio test.
+    """
+    A, basis, n_art = _start(sf)
+    b, n = sf.b, sf.c.size
+    sx = _Simplex(A, b, basis)
+    if n_art:
+        c1 = np.concatenate([np.zeros(n), np.ones(n_art)])
+        if _phase(sx, c1, n) != "optimal":
+            raise NumericalBreakdown("phase-1 objective reported unbounded")
+        if c1[sx.basis] @ (sx.Binv @ b) > 1e-8 * max(1.0, np.abs(b).max()):
+            return "infeasible", None, None, sx.iterations
+        for p in np.flatnonzero(sx.basis >= n):
+            row = sx.Binv[p, :] @ sf.A
+            for j in np.flatnonzero(np.abs(row) > 1e-7):
+                if not sx.in_basis[j]:
+                    d = sx.Binv @ A[:, j]
+                    if abs(d[p]) > 1e-7:
+                        sx.pivot(p, j, d)
+                        break
+        sx.refactorize()  # phase 2 counts its updates from a fresh inverse
+
+    c = np.concatenate([sf.c, np.zeros(n_art)])
+    if _phase(sx, c, n) == "unbounded":
+        return "unbounded", None, None, sx.iterations
+    sx.refactorize()  # clean final residuals
+    t = np.zeros(A.shape[1])
+    t[sx.basis] = sx.Binv @ b
+    return "optimal", t[:n], c[sx.basis] @ sx.Binv, sx.iterations
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -442,16 +441,12 @@ def solve(lp: LinearProgram) -> LpSolution:
     """
     sign = _SENSES[lp.objective_sense]
     sf = _standard_form(lp, sign)
-    status, t, y_int, kept_rows, iters = _solve_standard(sf)
+    status, t, y, iters = _solve_standard(sf)
     if status != "optimal":
         return LpSolution(status=status, iterations=iters)
     x = sf.recover(t)
-
-    # duals of the original rows; deleted redundant rows carry 0
-    y_full = np.zeros(sf.A.shape[0])
-    y_full[kept_rows] = y_int
-    y_eq = sign * y_full[: sf.n_eq]
-    y_ub = sign * y_full[sf.n_eq : sf.n_eq + sf.n_ub]
+    y_eq = sign * y[: sf.n_eq]
+    y_ub = sign * y[sf.n_eq : sf.n_eq + sf.n_ub]
 
     objective = float(lp.c @ x)
     sol = LpSolution(

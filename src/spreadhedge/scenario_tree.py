@@ -505,7 +505,6 @@ class PriceModel:
     min_step: float = 0.5
     max_step: float = 2.0
     straddle: bool = True
-    root_price: float = 100.0
 
     def clamped(self) -> tuple[float, float]:
         lo = min(max(self.min_step, 0.5), 2.0)
@@ -522,9 +521,9 @@ def generate_random_tree(
     """Deterministic random tree for property suites.
 
     Parameters are clamped (``depth >= 1``, ``max_branching >= 2``) rather
-    than rejected.  Per-node branching is uniform on ``{2..max_branching}``;
-    conditional probabilities are bounded away from zero and sum to one
-    exactly in floating point.
+    than rejected.  The root price is 100.  Per-node branching is uniform on
+    ``{2..max_branching}``; conditional probabilities are bounded away from
+    zero and sum to one exactly in floating point.
     """
     pm = price_model or PriceModel()
     depth = max(1, int(depth))
@@ -536,7 +535,7 @@ def generate_random_tree(
         hi = max(hi, 1.02)
     rng = np.random.default_rng(int(seed))
 
-    parent, time, cond_prob, price = [-1], [0], [1.0], [float(pm.root_price)]
+    parent, time, cond_prob, price = [-1], [0], [1.0], [100.0]
     frontier = [0]
     for t in range(1, depth + 1):
         new_frontier = []

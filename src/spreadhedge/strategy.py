@@ -379,20 +379,19 @@ def random_strategy(
     seed: int,
     *,
     scale: float = 1.0,
-    density: float = 0.5,
     liquidate_at_leaves: bool = False,
 ) -> Strategy:
     """Deterministic random self-financing strategy from a zero endowment.
 
     Property-suite instance source.  Trades are sparse nonnegative share
-    counts; with ``liquidate_at_leaves`` the final stock position is closed at
+    counts: each node buys with probability 1/2 and sells with probability
+    1/2.  With ``liquidate_at_leaves`` the final stock position is closed at
     every leaf so the terminal portfolio is pure bond.
     """
     rng = np.random.default_rng(int(seed))
     n = tree.node_count
-    active = rng.random(n) < density
-    buy = np.where(active, rng.exponential(scale, n), 0.0)
-    sell = np.where(rng.random(n) < density, rng.exponential(scale, n), 0.0)
+    buy = np.where(rng.random(n) < 0.5, rng.exponential(scale, n), 0.0)
+    sell = np.where(rng.random(n) < 0.5, rng.exponential(scale, n), 0.0)
     consume = np.where(rng.random(n) < 0.2, rng.exponential(0.1 * scale, n), 0.0)
     if liquidate_at_leaves:
         leaves = tree.leaves

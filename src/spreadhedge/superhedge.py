@@ -16,7 +16,6 @@ oracle; no runtime path solves it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,16 +257,17 @@ class SuperHedgeReport:
     cap: AdmissibilityCap
     bound_kind: str
     claim_bound: float
-    primal_status: str
     primal_value: float
     dual_value: float
     gap: float
-    strategy: Strategy | None
+    strategy: Strategy
     cps: ConsistentPriceSystem
     computed_cap_bound: float
     certificates: dict
 
-    # the pricing LP's status: a report exists only when it is optimal
+    # the statuses of the hedging and pricing LPs: a report exists only when
+    # both are optimal
+    primal_status = "optimal"
     dual_status = "optimal"
 
     @property
@@ -291,23 +291,18 @@ class SuperHedgeReport:
             "dual": self.dual_value,
             "gap": self.gap,
             "computed_cap_bound": self.computed_cap_bound,
-            "strategy": None if self.strategy is None else self.strategy.to_json(),
+            "strategy": self.strategy.to_json(),
             "cps": self.cps.to_json(),
             "cps_strict": None if self.cps_strict is None else self.cps_strict.to_json(),
-            "certificates": {k: (None if v is None else bool(v)) for k, v in self.certificates.items()},
+            "certificates": {k: bool(v) for k, v in self.certificates.items()},
         }
 
 
 def _certify(tree, lam, claim, strategy, cps, cap, path=None) -> tuple[dict, float]:
-    """Judge a hedge (None: there is none) and a price system, whichever
-    engine made them, deriving the hedge's holdings (``path``, unless the
-    caller has them) and the leaf payoffs once.  Returns the certificates,
-    ``admissibility`` judged under ``cap``, and the hedge's own minimal
-    bound for ``cap.kind`` (NaN without one)."""
-    cps_ok = bool(verify_cps(tree, lam, cps))
-    if strategy is None:
-        hedge = dict.fromkeys(("self_financing", "terminal_dominates", "admissibility"))
-        return {**hedge, "cps": cps_ok, "supermartingale": None}, math.nan
+    """Judge a hedge and a price system, whichever engine made them, deriving
+    the hedge's holdings (``path``, unless the caller has them) and the leaf
+    payoffs once.  Returns the certificates, ``admissibility`` judged under
+    ``cap``, and the hedge's own minimal bound for ``cap.kind``."""
     if path is None:
         path = portfolio_path(tree, lam, strategy)
     x = claim.payoff_vector(tree)
@@ -321,7 +316,7 @@ def _certify(tree, lam, claim, strategy, cps, cap, path=None) -> tuple[dict, flo
         "self_financing": bool(is_self_financing(tree, lam, strategy)),
         "terminal_dominates": terminal_ok,
         "admissibility": bool(_admissibility(tree, path.liquidation, cap)),
-        "cps": cps_ok,
+        "cps": bool(verify_cps(tree, lam, cps)),
         "supermartingale": bool(_supermartingale(tree, path, cps)),
     }
     return certificates, _minimal_bound(tree, path.liquidation, cap.kind)
@@ -349,10 +344,13 @@ def superhedge_price(
     cap's kind is at most M) keeps that hedge, optimal for the capped program
     too.  A binding cap adds one solve of the capped hedging LP for the hedge
     and the primal value; the dual value and price system stay those of the
-    cap-free program.  The capped price may be higher; a capped LP that ends without
-    an optimum is reported, not raised.  ``DualInfeasible`` is raised when
-    the unbounded-cap LP is unbounded, that is, when no price system exists
-    at all: the market itself admits arbitrage at this friction.
+    cap-free program.  The capped price may be higher.  The capped LP starts
+    feasible, at the no-trade hedge, and is bounded whenever the cap-free one
+    is, so a capped solve without an optimum is a solver fault: it raises
+    ``CertificateFailure``, as on the cap-free LP.  ``DualInfeasible`` is
+    raised when the unbounded-cap LP is unbounded, that is, when no price
+    system exists at all: the market itself admits arbitrage at this
+    friction.
     """
     lam = _rate(lam)
     cap = cap or AdmissibilityCap.unbounded()
@@ -372,21 +370,16 @@ def superhedge_price(
 
     if cap.is_bounded and _minimal_bound(tree, path.liquidation, cap.kind) > cap.bound:
         primal_sol = solve(build_primal(tree, lam, claim, cap))
-        if primal_sol.status == "unbounded":
-            raise CertificateFailure(
-                "capped program unbounded although the cap-free one is bounded"
-            )
-        strategy = path = None
-        if primal_sol.status == "optimal":
-            complementary_slackness = complementary_slackness and primal_sol.certificate.ok
-            strategy = extract_strategy(primal_sol, tree)
+        if primal_sol.status != "optimal":
+            raise CertificateFailure(f"capped hedging program ended with status {primal_sol.status}")
+        complementary_slackness = complementary_slackness and primal_sol.certificate.ok
+        strategy, path = extract_strategy(primal_sol, tree), None
 
-    optimal = primal_sol.status == "optimal"
-    primal_value = primal_sol.objective if optimal else math.inf
+    primal_value = primal_sol.objective
     certificates, computed_bound = _certify(tree, lam, claim, strategy, cps, cap, path)
     certificates["complementary_slackness"] = complementary_slackness
 
-    gap = abs(primal_value - dual_value) if np.isfinite(primal_value) else math.inf
+    gap = abs(primal_value - dual_value)
     if not cap.is_bounded and not (gap <= GAP_TOL):
         raise CertificateFailure(f"duality gap {gap} exceeds {GAP_TOL} with an unbounded cap")
 
@@ -395,7 +388,6 @@ def superhedge_price(
         cap=cap,
         bound_kind=claim.bound_kind,
         claim_bound=claim.lower_bound(tree),
-        primal_status=primal_sol.status,
         primal_value=primal_value,
         dual_value=dual_value,
         gap=gap,

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from spreadhedge import (
     AdmissibilityCap,
+    ClaimSpec,
     LinearProgram,
     ValidationError,
     solve,
@@ -171,8 +172,8 @@ class TestSolveBasics:
             LinearProgram(**arrays, b_eq=[1.0], b_ub=[0.0])
 
     def test_rows_all_redundant(self):
-        # phase 1 drops the empty row, so phase 2 runs on a program without
-        # rows; its verdicts come from the same ratio test as any other
+        # the empty row's artificial stays basic at zero after phase 1; phase
+        # 2's verdicts come from the same ratio test as any other
         for c, status in (([1.0, 2.0], "optimal"), ([1.0, -2.0], "unbounded")):
             sol = solve(LinearProgram(c=c, A_eq=[[0.0, 0.0]], b_eq=[0.0]))
             assert (sol.status, sol.iterations) == (status, 0)
@@ -351,7 +352,13 @@ class TestCrash:
         calls = count_phases(monkeypatch)
         for seed in range(1, 11):
             tree, claim, lam = suite_instance(seed)
-            for cap in (AdmissibilityCap.unbounded(), AdmissibilityCap.numeraire_free(1.0)):
+            for cap in (
+                AdmissibilityCap.unbounded(),
+                AdmissibilityCap.numeraire_free(1.0),
+                AdmissibilityCap.numeraire_based(0.0),
+                AdmissibilityCap.numeraire_based(10.0),
+                AdmissibilityCap.numeraire_free(0.1),
+            ):
                 calls.clear()
                 assert solve(build_primal(tree, lam, claim, cap)).status == "optimal"
                 assert len(calls) == 1, (seed, cap)
@@ -380,6 +387,49 @@ class TestCrash:
         if objective is not None:
             assert abs(sol.objective - objective) < 1e-9
             assert abs(brute_force_vertices(lp)[0][1] - objective) < 1e-9
+
+
+class TestOneSimplexPerSolve:
+    @pytest.mark.parametrize(
+        "make, status",
+        [
+            (lambda b1, c1: build_primal(b1, 0.1, c1, AdmissibilityCap.unbounded()), "optimal"),  # crash
+            (  # has_cps's program: every right-hand side is 0, so slacks start
+                lambda b1, c1: build_primal(b1, 0.1, ClaimSpec({1: 0.0, 2: 0.0}), AdmissibilityCap.unbounded()),
+                "optimal",
+            ),
+            (lambda b1, c1: build_dual(b1, 0.1, c1), "optimal"),  # phase 1
+            (
+                lambda b1, c1: LinearProgram(
+                    c=[1.0, 1.0], A_eq=[[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]], b_eq=[3.0, 3.0, 6.0]
+                ),
+                "optimal",
+            ),
+            (
+                lambda b1, c1: LinearProgram(
+                    c=[1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0], lower=[-INF], upper=[INF]
+                ),
+                "infeasible",
+            ),
+            (lambda b1, c1: LinearProgram(c=[1.0], lower=[3.0], upper=[INF]), "optimal"),  # no rows
+        ],
+        ids=["hedging", "zero-claim", "dual", "redundant-rows", "infeasible", "no-rows"],
+    )
+    def test_one_simplex_carries_both_phases(self, make, status, b1, c1, monkeypatch):
+        # phase 1 used to build a throwaway crash basis and a second simplex
+        # for phase 2 after deleting redundant rows
+        import spreadhedge.lp as lp_module
+
+        built = []
+        init = lp_module._Simplex.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(lp_module._Simplex, "__init__", counted)
+        assert solve(make(b1, c1)).status == status
+        assert len(built) == 1
 
 
 def per_column_standard_form(lp: LinearProgram, sign: float):

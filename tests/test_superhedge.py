@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from spreadhedge import (
     AdmissibilityCap,
+    CertificateFailure,
     ClaimSpec,
     ConsistentPriceSystem,
     DualInfeasible,
     LinearProgram,
+    LpSolution,
     PreconditionViolated,
     PriceModel,
     ShapeMismatch,
@@ -36,6 +38,7 @@ from spreadhedge import (
 from spreadhedge.cps import supermartingale_check
 from spreadhedge.strategy import Strategy, minimal_admissibility_bound, portfolio_path
 from spreadhedge.superhedge import _certify, has_cps
+from tests.conftest import B1_JSON
 from tests.oracles import brute_force_vertices
 from tests.test_acceptance import suite_instance
 
@@ -54,10 +57,6 @@ def assert_pass_agrees(tree, lam, strategy, cps, cap, certificates, bound):
     public check, which derives the hedge's holdings on its own."""
     where = (tree, lam, cap)
     assert certificates["cps"] == bool(verify_cps(tree, lam, cps)), where
-    if strategy is None:
-        hedge = ("self_financing", "terminal_dominates", "admissibility", "supermartingale")
-        assert all(certificates[k] is None for k in hedge) and np.isnan(bound), where
-        return
     assert certificates["self_financing"] == bool(is_self_financing(tree, lam, strategy)), where
     assert certificates["admissibility"] == bool(check_admissibility(tree, lam, strategy, cap)), where
     assert certificates["supermartingale"] == bool(
@@ -393,10 +392,6 @@ class TestSuperhedgePrice:
         )
         keys = ["self_financing", "terminal_dominates", "admissibility", "cps", "supermartingale"]
         assert list(rep.certificates) == keys + ["complementary_slackness"]
-        # a capped program that ends without an optimum leaves no hedge to judge
-        certificates, bound = _certify(b1, 0.1, c1, None, rep.cps, UNBOUNDED)
-        assert list(certificates) == keys
-        assert_pass_agrees(b1, 0.1, None, rep.cps, UNBOUNDED, certificates, bound)
         # the pass judges any hedge against any cap: the cap-free hedge of
         # every suite instance, under five caps, passes some floors and fails others
         admissible = set()
@@ -462,6 +457,36 @@ class TestSuperhedgePrice:
         # collecting -50 down needs a floor of -100/9, so a cap of 0 binds
         superhedge_price(b1, 0.1, ClaimSpec({1: 0.0, 2: -50.0}), AdmissibilityCap.numeraire_based(0.0))
         assert len(solves) == 4
+
+    def test_capped_solve_without_optimum_is_a_certificate_failure(self, b1, tmp_path, monkeypatch, capsys):
+        # such a solve used to give a report without a hedge, primal inf and
+        # null hedge certificates
+        import spreadhedge.superhedge as superhedge
+        from spreadhedge.cli import main
+
+        def capped_fails(lp):
+            # the capped program is the only one with floor rows past the leaf rows
+            return LpSolution("infeasible") if lp.A_ub.shape[0] > 2 * b1.leaves.size else solve(lp)
+
+        monkeypatch.setattr(superhedge, "solve", capped_fails)
+        # collecting -50 down needs a floor of -100/9, so a cap of 0 binds
+        claim = ClaimSpec({1: 0.0, 2: -50.0})
+        with pytest.raises(CertificateFailure, match="^capped hedging program ended with status infeasible$"):
+            superhedge_price(b1, 0.1, claim, AdmissibilityCap.numeraire_based(0.0))
+        (tmp_path / "b1.json").write_text(B1_JSON)
+        (tmp_path / "claim.json").write_text(json.dumps({"payoffs": {"1": 0.0, "2": -50.0}}))
+        code = main(
+            [
+                "price",
+                "--tree", str(tmp_path / "b1.json"),
+                "--claim", str(tmp_path / "claim.json"),
+                "--lambda", "0.1",
+                "--mode", "nb",
+                "--cap", "0",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().out.startswith("reason: certificate_failure\n")
 
     def test_caps_that_do_not_bind_are_certified(self):
         # the capped solves of these caps used to break down or certify a
