@@ -2,9 +2,12 @@
 
 The solver is a revised simplex on the standard-form problem
 ``min c't  s.t.  At = b, t >= 0`` derived from the general-form input.  One
-start basis (``_start``: a crash basis, else slacks plus artificials) and one
+start basis (``_start``: slacks plus artificials, whose inverse is exact,
+and at most one crash column entering by a first pivot) and one
 ``_Simplex`` carry each solve; phase 1 runs only when the start holds
-artificials, and phase 2 continues on its basis.  Each
+artificials, and phase 2 continues on its basis.  A pivot updates only the
+columns of the basis inverse that its pivot row touches, and only
+structural and slack columns are priced.  Each
 variable has one of four bound kinds: fixed (no column), shift (by its lower
 bound), mirror (at its upper bound) or split (free, two columns).  Three
 arrays carry the whole transformation -- ``source`` (the variable behind each
@@ -242,23 +245,34 @@ class _Simplex:
 
     One object carries a solve from its start basis to its verdict: phase 1
     (when the start holds artificial columns) and phase 2 run on the same
-    basis and pivot count.  ``pivot`` is the only writer of the basis and
-    the mask of basic columns; ``pivot`` and ``refactorize`` are the only
-    writers of the basis inverse.
+    basis and pivot count.  The start basis is slacks and artificials, one
+    ``±1`` per column on its own row: a signed identity, which is its own
+    inverse, so nothing is factorized before the first pivot.  ``Binv`` is
+    kept in Fortran order, so each of its columns is a contiguous row of
+    ``Binv.T``.  Only the first ``n`` columns (structural, then slack) may
+    enter; their reduced costs come from one product with a contiguous copy
+    of the structural block, and each slack's is read off its row's
+    multiplier.  ``pivot`` is the only writer of the basis and the mask of
+    basic columns; ``pivot`` and ``refactorize`` are the only writers of the
+    basis inverse.
     """
 
     REFACTOR_EVERY = 128
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, basis: np.ndarray):
+    def __init__(self, A: np.ndarray, b: np.ndarray, basis: np.ndarray, n_struct: int, n: int):
         self.A = A
         self.b = b
         self.m = A.shape[0]
+        self.n = n
         self.basis = basis.copy()
         self.in_basis = np.zeros(A.shape[1], dtype=bool)
         self.in_basis[basis] = True
-        self.refactorize()
+        diag = np.arange(self.m)
+        self.Binv = np.zeros((self.m, self.m), order="F")
+        self.Binv[diag, diag] = A[diag, basis]
+        self.A_struct = np.ascontiguousarray(A[:, :n_struct])
+        self.slack_rows = slice(self.m - (n - n_struct), self.m)
         self.iterations = 0
-        self._outer = np.empty((self.m, self.m))
 
     def refactorize(self) -> None:
         """Invert the basis afresh into ``Binv``."""
@@ -270,25 +284,34 @@ class _Simplex:
         err = np.abs(B @ Binv - np.eye(self.m)).max() if self.m else 0.0
         if not np.isfinite(err) or err > 1e-6:
             raise NumericalBreakdown(f"basis inverse residual {err:.2e}")
-        self.Binv = Binv
+        self.Binv = np.asfortranarray(Binv)
 
     def pivot(self, p: int, j: int, d: np.ndarray) -> None:
         """Column ``j`` replaces the basic column of row ``p``; ``d = B⁻¹A_j``.
-        The inverse takes a rank-one update, in place."""
+        The inverse takes a rank-one update, in place, on the columns where
+        the new row ``p`` is nonzero: the others would subtract zeros."""
         self.in_basis[self.basis[p]] = False
         self.in_basis[j] = True
         self.basis[p] = j
         row_p = self.Binv[p] / d[p]
-        np.multiply.outer(d, row_p, out=self._outer)
-        self.Binv -= self._outer
-        self.Binv[p, :] = row_p
+        nz = np.flatnonzero(row_p)
+        self.Binv.T[nz] -= np.multiply.outer(row_p[nz], d)
+        self.Binv[p] = row_p
 
-    def run(self, c: np.ndarray, allowed: np.ndarray, max_iter: int) -> str:
+    def reduced_costs(self, c: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``c - y'A`` over the first ``n`` columns: a slack column is the
+        unit vector of its row."""
+        r = np.empty(self.n)
+        n_struct = self.A_struct.shape[1]
+        np.subtract(c[:n_struct], y @ self.A_struct, out=r[:n_struct])
+        np.subtract(c[n_struct : self.n], y[self.slack_rows], out=r[n_struct:])
+        return r
+
+    def run(self, c: np.ndarray, max_iter: int) -> str:
         """Minimize c'x from the current basic feasible solution.
 
-        ``allowed`` masks the columns permitted to enter.  Returns "optimal"
-        or "unbounded"; the latter only from the ratio test, which then holds
-        the entering column ``j`` and ``d = B⁻¹A_j``.
+        Returns "optimal" or "unbounded"; the latter only from the ratio
+        test, which then holds the entering column ``j`` and ``d = B⁻¹A_j``.
         """
         A, b, m = self.A, self.b, self.m
         bland = False
@@ -309,12 +332,10 @@ class _Simplex:
                 if stall > stall_limit:
                     bland = True  # anti-cycling: switch to Bland's rule
             prev_obj = obj
-            y = cb @ self.Binv
-            r = c - y @ A
-            cand = (~self.in_basis) & allowed & (r < -PIVOT_TOL)
-            if not cand.any():
+            r = self.reduced_costs(c, cb @ self.Binv)
+            idx = np.flatnonzero((r < -PIVOT_TOL) & ~self.in_basis[: self.n])
+            if not idx.size:
                 return "optimal"
-            idx = np.flatnonzero(cand)
             j = int(idx[0]) if bland else int(idx[np.argmin(r[idx])])
             d = self.Binv @ A[:, j]
             p = self._leaving_row(x_B, d, bland)
@@ -339,36 +360,38 @@ class _Simplex:
                 since_refactor = 0
 
     def _leaving_row(self, x_B, d, bland: bool):
-        """Minimum-ratio row; ties go to the largest pivot for stability, or
-        to the smallest basic index in Bland mode (the termination guarantee)."""
-        pos = d > PIVOT_TOL
-        if not pos.any():
+        """Minimum-ratio row among those with ``d > PIVOT_TOL``; ties go to the
+        largest pivot for stability, or to the smallest basic index in Bland
+        mode (the termination guarantee)."""
+        rows = np.flatnonzero(d > PIVOT_TOL)
+        if not rows.size:
             return None
-        ratios = np.where(pos, np.maximum(x_B, 0.0) / np.where(pos, d, 1.0), np.inf)
+        ratios = np.maximum(x_B[rows], 0.0) / d[rows]
         theta = ratios.min()
-        ties = np.flatnonzero(ratios <= theta + 1e-9 * (1.0 + abs(theta)))
+        ties = rows[ratios <= theta + 1e-9 * (1.0 + abs(theta))]
         if bland:
             return int(ties[np.argmin(self.basis[ties])])
         return int(ties[np.argmax(d[ties])])
 
 
-def _phase(sx: _Simplex, c: np.ndarray, n: int) -> str:
-    """Run the simplex from ``sx``'s basis; only the first ``n`` columns may enter."""
-    allowed = np.arange(sx.A.shape[1]) < n
-    return sx.run(c, allowed, 200000 + 100 * (sx.m + n))
+def _phase(sx: _Simplex, c: np.ndarray) -> str:
+    """Run the simplex from ``sx``'s basis under the costs ``c``."""
+    return sx.run(c, 200000 + 100 * (sx.m + sx.n))
 
 
-def _start(sf: _StandardForm) -> tuple[np.ndarray, np.ndarray, int]:
-    """The start basis ``(A, basis, n_art)``: ``A`` is ``sf.A`` with
-    ``n_art`` artificial columns appended, when phase 1 must run.
+def _start(sf: _StandardForm) -> tuple[np.ndarray, np.ndarray, int, tuple[int, int] | None]:
+    """The start ``(A, basis, n_art, crash)``: ``A`` is ``sf.A`` with
+    ``n_art`` artificial columns appended, when phase 1 must run, and
+    ``basis`` is slacks and artificials, a signed identity.
 
     Bixby's one-column crash comes first: when every row has a slack and
     some ``b_r < 0``, the lowest-index structural column ``j`` negative on
     all such rows enters at the row ``p`` of the largest ``b_p / a_pj``.  It
-    is kept when the slacks ``b - A_j b_p / a_pj`` (no factorization) are
-    all nonnegative; for the hedging LP's all ``-1`` endowment column they
-    are ``b_r - b_p``, exact.  Otherwise slacks start where ``b_r >= 0``,
-    and an artificial column signed like ``b_r`` on every other row.
+    is kept, as ``crash = (p, j)``, the first pivot from the slack basis,
+    when the slacks ``b - A_j b_p / a_pj`` (no factorization) are all
+    nonnegative; for the hedging LP's all ``-1`` endowment column they are
+    ``b_r - b_p``, exact.  Otherwise slacks start where ``b_r >= 0``, and an
+    artificial column signed like ``b_r`` on every other row.
     """
     A, b = sf.A, sf.b
     basis = sf.slack_of_row.copy()
@@ -380,35 +403,38 @@ def _start(sf: _StandardForm) -> tuple[np.ndarray, np.ndarray, int]:
         slack = b - A[:, j] * (b[p] / A[p, j])
         slack[p] = 0.0
         if (slack >= 0).all():
-            basis[p] = j
-            return A, basis, 0
+            return A, basis, 0, (int(p), j)
     art_rows = np.flatnonzero((basis < 0) | (b < 0))
     n_art = art_rows.size
     basis[art_rows] = A.shape[1] + np.arange(n_art)
     art = np.zeros((A.shape[0], n_art))
     art[art_rows, np.arange(n_art)] = np.where(b[art_rows] < 0, -1.0, 1.0)
-    return (np.hstack([A, art]) if n_art else A), basis, n_art
+    return (np.hstack([A, art]) if n_art else A), basis, n_art, None
 
 
 def _solve_standard(sf: _StandardForm) -> tuple[str, np.ndarray | None, np.ndarray | None, int]:
     """Simplex from ``_start``'s basis on one ``_Simplex``.  Returns
     (status, t, y, iterations), with a multiplier for every row.
 
-    Phase 1 runs only when the start holds artificial columns; it minimizes
-    their sum, and a positive optimum means "infeasible".  Each artificial
-    left basic is then pivoted out by any column with a nonzero entry in its
-    row; one that no column can replace sits on a redundant row and stays
-    basic at zero.  Phase 2 continues from that basis, refactorized, with the
-    artificials barred from entering.  A program without rows needs no
+    A crash column enters first, by one pivot that is not counted as an
+    iteration.  Phase 1 runs only when the start holds artificial columns;
+    it minimizes their sum, and a positive optimum means "infeasible".  Each
+    artificial left basic is then pivoted out by any column with a nonzero
+    entry in its row; one that no column can replace sits on a redundant row
+    and stays basic at zero.  Phase 2 continues from that basis,
+    refactorized; artificials never enter.  A program without rows needs no
     special case: its basis is empty, and the first column with a negative
     cost fails the ratio test.
     """
-    A, basis, n_art = _start(sf)
+    A, basis, n_art, crash = _start(sf)
     b, n = sf.b, sf.c.size
-    sx = _Simplex(A, b, basis)
+    sx = _Simplex(A, b, basis, sf.source.size, n)
+    if crash is not None:
+        p, j = crash
+        sx.pivot(p, j, sx.Binv @ A[:, j])
     if n_art:
         c1 = np.concatenate([np.zeros(n), np.ones(n_art)])
-        if _phase(sx, c1, n) != "optimal":
+        if _phase(sx, c1) != "optimal":
             raise NumericalBreakdown("phase-1 objective reported unbounded")
         if c1[sx.basis] @ (sx.Binv @ b) > 1e-8 * max(1.0, np.abs(b).max()):
             return "infeasible", None, None, sx.iterations
@@ -423,7 +449,7 @@ def _solve_standard(sf: _StandardForm) -> tuple[str, np.ndarray | None, np.ndarr
         sx.refactorize()  # phase 2 counts its updates from a fresh inverse
 
     c = np.concatenate([sf.c, np.zeros(n_art)])
-    if _phase(sx, c, n) == "unbounded":
+    if _phase(sx, c) == "unbounded":
         return "unbounded", None, None, sx.iterations
     sx.refactorize()  # clean final residuals
     t = np.zeros(A.shape[1])

@@ -432,6 +432,98 @@ class TestOneSimplexPerSolve:
         assert len(built) == 1
 
 
+def kernel_corpus(b1, c1):
+    """Hedging LPs of suite 1-10 under three caps, the dual LP of ``b1``
+    (equality rows first, then phase 1) and ``random_box_lp(7)``."""
+    from tests.test_acceptance import suite_instance  # that module imports this one
+
+    for seed in range(1, 11):
+        tree, claim, lam = suite_instance(seed)
+        for cap in (
+            AdmissibilityCap.unbounded(),
+            AdmissibilityCap.numeraire_based(0.0),
+            AdmissibilityCap.numeraire_free(1.0),
+        ):
+            yield build_primal(tree, lam, claim, cap)
+    yield build_dual(b1, 0.1, c1)
+    yield random_box_lp(7)
+
+
+class TestPivotKernel:
+    def test_column_sparse_update_matches_dense_formula(self):
+        import spreadhedge.lp as lp_module
+
+        rng = np.random.default_rng(3)
+        m = 8
+        # diagonally dominant: column j may replace the slack of row j
+        A = np.hstack([rng.normal(size=(m, m)) + 4.0 * np.eye(m), np.eye(m)])
+        sx = lp_module._Simplex(A, np.ones(m), np.arange(m, 2 * m), m, 2 * m)
+        for j in (2, 5, 0, 7, 3):
+            before = sx.Binv.copy()
+            d = sx.Binv @ A[:, j]
+            row_p = before[j] / d[j]
+            sx.pivot(j, j, d)
+            dense = before - np.outer(d, row_p)
+            dense[j] = row_p
+            moved = row_p != 0
+            assert moved.any() and not moved.all()
+            assert sx.Binv[:, moved].tobytes() == dense[:, moved].tobytes()
+            rest = np.arange(m) != j
+            assert sx.Binv[np.ix_(rest, ~moved)].tobytes() == before[np.ix_(rest, ~moved)].tobytes()
+            assert (sx.Binv[j, ~moved] == 0.0).all()
+        assert sx.Binv.flags.f_contiguous
+        assert np.abs(A[:, sx.basis] @ sx.Binv - np.eye(m)).max() <= 1e-12
+
+    def test_start_basis_is_inverted_exactly_without_factorizing(self, b1, c1, monkeypatch):
+        # the start is slacks and artificials, a signed identity, plus at
+        # most one crash column entering by a pivot: no LU factorization
+        # is needed before the first run
+        import spreadhedge.lp as lp_module
+
+        events = []
+        refactorize, run = lp_module._Simplex.refactorize, lp_module._Simplex.run
+
+        def counted(self):
+            events.append("refactorize")
+            refactorize(self)
+
+        def checked(self, *args):
+            if not events:
+                assert (self.A[:, self.basis] @ self.Binv == np.eye(self.m)).all()
+            events.append("run")
+            return run(self, *args)
+
+        monkeypatch.setattr(lp_module._Simplex, "refactorize", counted)
+        monkeypatch.setattr(lp_module._Simplex, "run", checked)
+        for lp in kernel_corpus(b1, c1):
+            events.clear()
+            assert solve(lp).status == "optimal"
+            assert events[0] == "run"
+
+    def test_slack_reduced_costs_read_off_the_multipliers(self, b1, c1, monkeypatch):
+        import spreadhedge.lp as lp_module
+
+        priced = []
+        reduced_costs = lp_module._Simplex.reduced_costs
+
+        def checked(self, c, y):
+            r = reduced_costs(self, c, y)
+            full = c - y @ self.A
+            k = self.A_struct.shape[1]
+            assert r.size == self.n
+            # equal up to the sign of zero
+            assert (r[k:] == full[k : self.n]).all()
+            bound = 1e-12 * (np.abs(c[:k]) + np.abs(y) @ np.abs(self.A_struct))
+            assert (np.abs(r[:k] - full[:k]) <= bound).all()
+            priced.append(self.n - k)
+            return r
+
+        monkeypatch.setattr(lp_module._Simplex, "reduced_costs", checked)
+        for lp in kernel_corpus(b1, c1):
+            assert solve(lp).status == "optimal"
+        assert sum(priced) > 0
+
+
 def per_column_standard_form(lp: LinearProgram, sign: float):
     """The standard form built one variable at a time, each variable kept as
     a ``(kind, columns, offset)`` record: the reference for the array build.

@@ -37,7 +37,7 @@ from spreadhedge import (
 )
 from spreadhedge.cps import supermartingale_check
 from spreadhedge.strategy import Strategy, minimal_admissibility_bound, portfolio_path
-from spreadhedge.superhedge import _certify, has_cps
+from spreadhedge.superhedge import DUST, _certify, has_cps
 from tests.conftest import B1_JSON
 from tests.oracles import brute_force_vertices
 from tests.test_acceptance import suite_instance
@@ -65,6 +65,20 @@ def assert_pass_agrees(tree, lam, strategy, cps, cap, certificates, bound):
     assert bound == minimal_admissibility_bound(tree, lam, strategy, cap.kind), where
     # the hedge is admissible at its own minimal bound, so pricing does not re-check it
     assert check_admissibility(tree, lam, strategy, AdmissibilityCap(cap.kind, bound)), where
+
+
+def assert_normal_form(tree, strategy, where):
+    """No written trade both buys and sells, and none is smaller than
+    ``DUST`` of the hedge's largest net trade (scale floored at 1; at a
+    leaf, smaller than 1e-9 too): the LP's roundoff and round trips are
+    gone."""
+    net = (strategy.buy - strategy.sell)[tree.internal]
+    dust = DUST * max(1.0, np.abs(net).max(initial=0.0))
+    floor = np.full(tree.node_count, dust)
+    floor[tree.leaves] = min(dust, 1e-9)
+    for node, t in strategy.to_json()["trades"].items():
+        assert t["buy"] == 0.0 or t["sell"] == 0.0, (where, node)
+        assert max(t["buy"], t["sell"]) >= floor[int(node)], (where, node)
 
 
 def random_claim(tree, seed, *, allow_negative=True):
@@ -152,11 +166,9 @@ class TestBuildPrimal:
             assert got.objective.hex() == ref.objective.hex(), seed
             assert got.y_ub.tobytes() == ref.y_ub.tobytes(), seed
             assert got.iterations == ref.iterations, seed
-            hedge, ref_hedge = extract_strategy(got, tree), _full_extract(ref, tree)
-            assert hedge.initial == ref_hedge.initial, seed
-            for name in ("buy", "sell", "consume"):
-                a, b = getattr(hedge, name), getattr(ref_hedge, name)
-                assert a.tobytes() == b.tobytes(), (seed, name)
+            kept = _full_kept_columns(ref, tree)
+            assert got.x[0] == kept[0], seed
+            assert np.maximum(got.x[1:], 0.0).tobytes() == np.maximum(kept[1:], 0.0).tobytes(), seed
             for cap in caps:
                 got = solve(build_primal(tree, lam, claim, cap))
                 ref = solve(_full_primal_lp(tree, lam, claim, cap))
@@ -164,6 +176,7 @@ class TestBuildPrimal:
                 assert got.iterations <= ref.iterations, (seed, cap)
                 tol = 1e-12 * max(1.0, abs(ref.objective))
                 assert abs(got.objective - ref.objective) <= tol, (seed, cap)
+                assert_normal_form(tree, extract_strategy(got, tree), (seed, cap))
 
 
 def _marked_primal_arrays(tree, lam, claim, cap):
@@ -233,14 +246,15 @@ def _full_primal_lp(tree, lam, claim, cap):
     return LinearProgram(c=c, A_ub=A_ub, b_ub=-rhs, lower=lower)
 
 
-def _full_extract(solution, tree):
-    """The hedge of a ``_full_primal_lp`` solution: trades clamped at zero,
-    each leaf liquidating the holding carried into it."""
-    buy, sell, consume = np.maximum(solution.x[1:], 0.0).reshape(3, tree.node_count)
-    leaves = tree.leaves
-    held = (tree.path_sum(buy) - tree.path_sum(sell))[tree.parent[leaves]]
-    buy[leaves], sell[leaves] = np.maximum(-held, 0.0), np.maximum(held, 0.0)
-    return Strategy((float(solution.x[0]), 0.0), buy, sell, consume)
+def _full_kept_columns(solution, tree):
+    """A ``_full_primal_lp`` solution's values on ``build_primal``'s columns,
+    ``[x0 | buy | sell]`` over the internal nodes; the leaf trades and the
+    consumption dropped from them must vanish once clamped at zero."""
+    internal, leaves = tree.internal, tree.leaves
+    buy, sell, consume = solution.x[1:].reshape(3, tree.node_count)
+    dropped = np.concatenate([buy[leaves], sell[leaves], consume])
+    assert (np.maximum(dropped, 0.0) == 0.0).all()
+    return np.concatenate([solution.x[:1], buy[internal], sell[internal]])
 
 
 def _split_primal_lp(tree, lam, claim, cap):
@@ -333,6 +347,38 @@ class TestExtractStrategy:
         with pytest.raises(ShapeMismatch, match=message.format(6, 7)):
             extract_strategy(sol, tree)
 
+    def test_round_trip_nets_and_dust_vanishes(self, b1):
+        # a node that buys and sells keeps only the difference, which only
+        # adds bonds; trades below DUST of the largest trade, and leaf
+        # holdings below that and below 1e-9, are roundoff and become zero
+        sol = LpSolution("optimal", x=np.array([-40.0, 0.75, 0.25]))
+        hedge = extract_strategy(sol, b1)
+        assert hedge.initial == (-40.0, 0.0)
+        assert (hedge.buy[0], hedge.sell[0]) == (0.5, 0.0)
+        assert (hedge.sell[1:] == 0.5).all() and (hedge.buy[1:] == 0.0).all()
+        for x in ([3.0, 4e-13, 0.0], [3.0, 0.25, 0.25 + 1e-13], [3.0, -1e-10, 0.0]):
+            hedge = extract_strategy(LpSolution("optimal", x=np.array(x)), b1)
+            assert hedge.initial == (3.0, 0.0)
+            assert not (hedge.buy.any() or hedge.sell.any() or hedge.consume.any()), x
+        # the threshold scales with the largest trade, floored at 1
+        tree = generate_random_tree(1, depth=2, max_branching=2)
+        x = np.zeros(1 + 2 * tree.internal.size)
+        x[1:3] = 1e3, 5e-10
+        hedge = extract_strategy(LpSolution("optimal", x=x), tree)
+        assert hedge.buy[tree.internal].tolist() == [1e3, 0.0, 0.0]
+
+    def test_large_claims_end_within_tolerance_of_flat(self):
+        # payoffs of about 1e6 make the largest net trade 7.7e5 shares, so
+        # DUST of it (7.7e-7) exceeds the terminal certificate's 1e-9 on a
+        # final holding: a leaf still liquidates a carried-in holding of
+        # 1.3e-9.  Many suite instances break down at this scale (the
+        # solver's absolute tolerances); this one solves at any thread count
+        tree, claim, lam = suite_instance(144)
+        big = ClaimSpec({leaf: 1e6 * x for leaf, x in claim.payoffs.items()}, claim.bound_kind)
+        rep = superhedge_price(tree, lam, big)
+        assert rep.all_certified(), rep.certificates
+        assert_normal_form(tree, rep.strategy, 144)
+
 
 class TestBuildDual:
     def test_binomial_optimum(self, b1, c1):
@@ -398,6 +444,7 @@ class TestSuperhedgePrice:
         for seed in range(1, 201):
             tree, claim, lam = suite_instance(seed)
             rep = superhedge_price(tree, lam, claim)
+            assert_normal_form(tree, rep.strategy, seed)
             certificates, bound = _certify(tree, lam, claim, rep.strategy, rep.cps, UNBOUNDED)
             assert {**certificates, "complementary_slackness": True} == rep.certificates, seed
             assert bound == rep.computed_cap_bound, seed
@@ -579,6 +626,7 @@ class TestDualOfPrimal:
                 rep = superhedge_price(tree, lam, claim, cap)
                 assert abs(rep.dual_value - ref) <= 1e-9 * max(1.0, abs(ref)), (seed, cap)
                 assert verify_cps(tree, lam, rep.cps), (seed, cap)
+                assert_normal_form(tree, rep.strategy, (seed, cap))
                 assert_pass_agrees(
                     tree, lam, rep.strategy, rep.cps, cap, rep.certificates, rep.computed_cap_bound
                 )
