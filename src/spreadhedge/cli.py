@@ -258,7 +258,8 @@ def emit_report(report, fmt: str, grid: dict | None = None) -> str:
     ``report`` is a ``SuperHedgeReport``, a list of them (a friction curve),
     or an equivalent plain dict previously produced by the JSON format.
     Reports with no certificates are rejected, and so are plain dicts
-    lacking a key the renderers read or holding a value of the wrong type.
+    lacking a key the renderers read or holding a value of the wrong type;
+    a certificate is ``true``, ``false`` or ``null`` (rendered ``n/a``).
     ``grid``, the ``--check-lambdas`` verdicts ``{repr(lambda'): feasible}``,
     follows as text lines or as the JSON key ``cps_feasibility_grid`` (a
     curve then sits under ``curve``); CSV leaves it out.
@@ -283,6 +284,9 @@ def emit_report(report, fmt: str, grid: dict | None = None) -> str:
             raise ValidationError(str(exc)) from exc
         if not isinstance(d["mode"], str):
             raise ValidationError(f"report 'mode' must be a string, got {d['mode']!r}")
+        for key, v in d["certificates"].items():
+            if v is not None and not isinstance(v, bool):
+                raise ValidationError(f"report certificate {key!r} must be true, false or null, got {v!r}")
         dicts.append(d)
 
     if fmt == "json":
@@ -304,12 +308,7 @@ def emit_report(report, fmt: str, grid: dict | None = None) -> str:
                 "gap": f"{float(d['gap']):.1e}",
                 "mode": d["mode"],
                 "cap": str(d["cap"]),
-                "cert_self_financing": _fmt_bool(c.get("self_financing")),
-                "cert_terminal_dominates": _fmt_bool(c.get("terminal_dominates")),
-                "cert_admissibility": _fmt_bool(c.get("admissibility")),
-                "cert_cps": _fmt_bool(c.get("cps")),
-                "cert_supermartingale": _fmt_bool(c.get("supermartingale")),
-                "cert_complementary_slackness": _fmt_bool(c.get("complementary_slackness")),
+                **{key: _fmt_bool(c.get(key[5:])) for key in CSV_COLUMNS[6:]},
             }
         )
 
@@ -499,8 +498,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         payload = payload.get("curve", payload)
     if not isinstance(grid, dict):
         raise ValidationError(f"'cps_feasibility_grid' must be an object, got {type(grid).__name__}")
-    for k in grid:
+    for k, v in grid.items():
         _numeric("'cps_feasibility_grid' key")(k)  # the text form sorts the keys as numbers
+        if not isinstance(v, bool):
+            raise ValidationError(f"'cps_feasibility_grid' value for {k!r} must be true or false, got {v!r}")
     _write_output(args, emit_report(payload, args.fmt, grid))
     return 0
 

@@ -7,16 +7,14 @@ and at most one crash column entering by a first pivot) and one
 ``_Simplex`` carry each solve; phase 1 runs only when the start holds
 artificials, and phase 2 continues on its basis.  A pivot updates only the
 columns of the basis inverse that its pivot row touches, and only
-structural and slack columns are priced.  Each
-variable has one of four bound kinds: fixed (no column), shift (by its lower
-bound), mirror (at its upper bound) or split (free, two columns).  Three
-arrays carry the whole transformation -- ``source`` (the variable behind each
-column), ``flip`` (the column's sign) and ``offset`` (the shift) -- so both
-directions are array operations.  The entering variable is the one with the
-largest reduced-cost violation (ties broken by lowest index); whenever the
-objective stalls the rule switches to Bland's anti-cycling rule, which
-guarantees finite termination.  Everything is deterministic for a fixed
-input.
+structural and slack columns are priced.  Each variable is nonnegative (one
+column) or free (two columns); two arrays carry the whole transformation --
+``source`` (the variable behind each column) and ``flip`` (the column's
+sign) -- so both directions are array operations.  The entering variable is
+the one with the largest reduced-cost violation (ties broken by lowest
+index); whenever the objective stalls the rule switches to Bland's
+anti-cycling rule, which guarantees finite termination.  Everything is
+deterministic for a fixed input.
 
 Every optimal solution carries dual multipliers.  The ``verify_certificate``
 routine derives the reduced costs from them and recomputes all four
@@ -28,8 +26,8 @@ behave uniformly across problem scales.
 Sign conventions (minimization): inequality rows are ``A_ub x <= b_ub`` with
 multipliers ``y_ub <= 0``; equality multipliers are free; the reduced cost of
 variable ``j`` is ``r_j = c_j - A_eq'y_eq - A_ub'y_ub`` with ``r_j >= 0``
-required when the upper bound is infinite and ``r_j <= 0`` when the lower
-bound is infinite.  For maximization all dual signs flip.
+required, and ``r_j = 0`` when the variable is free.  For maximization all
+dual signs flip.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ DUAL_TOL = 1e-9
 CS_TOL = 1e-8
 GAP_TOL = 1e-8
 PIVOT_TOL = 1e-9
-BREAKDOWN_TOL = 1e-12
 
 _SENSES = {"minimize": 1.0, "maximize": -1.0}
 
@@ -71,11 +68,13 @@ def _as_matrix(a, ncols: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """General-form LP: optimize ``c'x`` under equality rows, ``<=`` rows and bounds.
+    """General-form LP: optimize ``c'x`` under equality rows and ``<=`` rows.
 
-    ``objective_sense`` is ``"minimize"`` or ``"maximize"``.  ``lower``/``upper``
-    default to ``0``/``+inf``; use ``-inf`` lower bounds for free variables.
-    ``names`` are optional labels; the solver does not read them.
+    ``objective_sense`` is ``"minimize"`` or ``"maximize"``.  Each variable
+    is nonnegative (``lower`` 0, the default) or free (``lower`` ``-inf``);
+    ``upper`` is ``+inf``, its default, everywhere.  Any other bound is a
+    ``ValidationError`` naming the variable: state it as a row.  ``names``
+    are optional labels; the solver does not read them.
     """
 
     c: np.ndarray
@@ -110,13 +109,13 @@ class LinearProgram:
         for name, arr in (("c", c), ("A_eq", A_eq), ("b_eq", b_eq), ("A_ub", A_ub), ("b_ub", b_ub)):
             if not np.isfinite(arr).all():
                 raise ValidationError(f"{name} must be finite")
-        if np.isnan(lower).any() or np.isnan(upper).any():
-            raise ValidationError("bounds contain NaN")
-        if (lower == np.inf).any() or (upper == -np.inf).any():
-            raise ValidationError("a lower bound of +inf or an upper bound of -inf admits no point")
-        if (lower > upper).any():
-            j = int(np.argmax(lower > upper))
-            raise ValidationError(f"variable {j} has lower bound above upper bound")
+        for bad, name, arr, kinds in (
+            ((lower != 0.0) & (lower != -np.inf), "lower", lower, "0 (nonnegative) or -inf (free)"),
+            (upper != np.inf, "upper", upper, "+inf"),
+        ):
+            if bad.any():
+                j = int(np.argmax(bad))
+                raise ValidationError(f"variable {j} has {name} bound {float(arr[j])!r}; it must be {kinds}")
         names = self.names
         if names is not None:
             names = tuple(str(s) for s in names)
@@ -168,72 +167,42 @@ class _StandardForm:
     b: np.ndarray
     c: np.ndarray
     n_eq: int
-    n_ub: int                  # external ub rows precede internal bound rows
-    slack_of_row: np.ndarray   # column index of the slack for each ub/bound row, -1 for eq
+    slack_of_row: np.ndarray   # column index of the slack for each ub row, -1 for eq
     source: np.ndarray         # original variable behind each structural column
     flip: np.ndarray           # +1 or -1 per structural column
-    offset: np.ndarray         # per original variable, the value at t = 0
 
     def recover(self, t: np.ndarray) -> np.ndarray:
         """Map a standard-form point back to the original variables."""
-        x = self.offset.copy()
-        np.add.at(x, self.source, self.flip * t[: self.source.size])
-        return x
+        return np.bincount(self.source, self.flip * t[: self.source.size])
 
 
 def _standard_form(lp: LinearProgram, sign: float) -> _StandardForm:
     """Rewrite as min (sign*c)'t, At = b, t >= 0.
 
-    Each variable is one of four bound kinds:
-
-    - ``fixed`` (lower == upper): no column; its value moves into ``b``;
-    - ``shift`` (finite lower): one column ``t = x - lower``, plus a bound row
-      ``t + s = upper - lower`` when the upper bound is finite too;
-    - ``mirror`` (upper bound only): one column ``t = upper - x``;
-    - ``split`` (free): two adjacent columns with ``x = t+ - t-``.
-
-    Three arrays record the transformation: ``source`` (the variable behind
-    each structural column, in variable order), ``flip`` (-1 for a mirrored
-    column and for a free variable's second column, else +1) and ``offset``
-    (the lower bound, the upper bound of a mirrored variable, 0 when free),
-    so that ``x = offset + sum over its columns of flip * t``.  Rows are the
-    equalities, the inequalities with one slack each, then the bound rows
-    with one slack each; the slacks follow the structural columns.
+    A nonnegative variable is one column ``t = x``; a free variable is two
+    adjacent columns with ``x = t+ - t-``.  Two arrays record the
+    transformation: ``source`` (the variable behind each structural column,
+    in variable order) and ``flip`` (-1 for a free variable's second column,
+    else +1), so that ``x = sum over its columns of flip * t``.  Rows are the
+    equalities, then the inequalities with one slack each; the slacks follow
+    the structural columns.
     """
-    lower, upper = lp.lower, lp.upper
-    has_lo, has_up = np.isfinite(lower), np.isfinite(upper)
-    fixed = has_lo & has_up & (upper - lower <= 0.0)
-    free = ~has_lo & ~has_up
-    width = np.where(fixed, 0, np.where(free, 2, 1))
-    first = np.cumsum(width) - width  # first structural column of each variable
+    width = np.where(lp.lower == -np.inf, 2, 1)
     source = np.repeat(np.arange(lp.n_vars), width)
-    flip = np.where(has_lo[source], 1.0, -1.0)
-    flip[first[free]] = 1.0
-    offset = np.where(has_lo, lower, np.where(has_up, upper, 0.0))
-    boxed = np.flatnonzero(has_lo & has_up & ~fixed)
+    flip = np.ones(source.size)
+    flip[np.cumsum(width)[width == 2] - 1] = -1.0
 
-    n_eq, n_ub, n_bound = lp.A_eq.shape[0], lp.A_ub.shape[0], boxed.size
-    n_rows, n_struct = n_eq + n_ub, source.size
-    m = n_rows + n_bound
-    # shift one variable at a time, left to right: a matmul sums in another
-    # order and would change the last bits of b
-    shifted = np.flatnonzero(offset)
-    shifts = np.vstack([lp.A_eq[:, shifted], lp.A_ub[:, shifted]]) * offset[shifted]
-    b_rows = np.subtract.reduce(
-        np.column_stack([np.concatenate([lp.b_eq, lp.b_ub]), shifts]), axis=1
-    )
-    b = np.concatenate([b_rows, upper[boxed] - lower[boxed]])
-
-    slack_of_row = np.concatenate([np.full(n_eq, -1), n_struct + np.arange(n_ub + n_bound)])
-    A = np.zeros((m, n_struct + n_ub + n_bound))
+    n_eq, n_ub, n_struct = lp.A_eq.shape[0], lp.A_ub.shape[0], source.size
+    m = n_eq + n_ub
+    slack_of_row = np.concatenate([np.full(n_eq, -1), n_struct + np.arange(n_ub)])
+    A = np.zeros((m, n_struct + n_ub))
     # gather each block straight into A: no stacked copy of [A_eq; A_ub]
     np.multiply(lp.A_eq[:, source], flip, out=A[:n_eq, :n_struct])
-    np.multiply(lp.A_ub[:, source], flip, out=A[n_eq:n_rows, :n_struct])
-    A[n_rows + np.arange(n_bound), first[boxed]] = 1.0
+    np.multiply(lp.A_ub[:, source], flip, out=A[n_eq:, :n_struct])
     A[np.arange(n_eq, m), slack_of_row[n_eq:]] = 1.0
     c = np.zeros(A.shape[1])
     c[:n_struct] = (sign * lp.c)[source] * flip
-    return _StandardForm(A, b, c, n_eq, n_ub, slack_of_row, source, flip, offset)
+    return _StandardForm(A, np.concatenate([lp.b_eq, lp.b_ub]), c, n_eq, slack_of_row, source, flip)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +318,6 @@ class _Simplex:
                 p = self._leaving_row(x_B, d, bland)
             if p is None:
                 return "unbounded"
-            if abs(d[p]) < BREAKDOWN_TOL:
-                raise NumericalBreakdown(f"pivot magnitude {abs(d[p]):.2e}")
             self.pivot(p, j, d)
             cb[p] = c[j]
             self.iterations += 1
@@ -472,7 +439,7 @@ def solve(lp: LinearProgram) -> LpSolution:
         return LpSolution(status=status, iterations=iters)
     x = sf.recover(t)
     y_eq = sign * y[: sf.n_eq]
-    y_ub = sign * y[sf.n_eq : sf.n_eq + sf.n_ub]
+    y_ub = sign * y[sf.n_eq :]
 
     objective = float(lp.c @ x)
     sol = LpSolution(
@@ -502,56 +469,49 @@ def verify_certificate(lp: LinearProgram, sol: LpSolution) -> CertificateReport:
 
     The reduced costs ``r = c - A_eq'y_eq - A_ub'y_ub`` are derived from the
     multipliers, so multipliers off stationarity fail dual feasibility.
-    Residuals are scaled by ``max(1, |reference|)`` (right-hand side, cost,
-    or objective).  Returns a report with the worst residual per family and
-    the list of failed families; a NaN residual fails its family.
+    A nonnegative variable adds ``x >= 0`` to primal feasibility and pairs
+    ``x`` with its reduced cost in complementary slackness; a free variable's
+    reduced cost must vanish.  Residuals are scaled by ``max(1,
+    |reference|)`` (right-hand side, cost, or objective).  Returns a report
+    with the worst residual per family and the list of failed families; a
+    NaN residual fails its family.
     """
     if sol.status != "optimal":
         return CertificateReport(False, {}, ("status_not_optimal",))
     x, y_eq, y_ub = sol.x, sol.y_eq, sol.y_ub
     r = lp.c - lp.A_eq.T @ y_eq - lp.A_ub.T @ y_ub
     sign = _SENSES[lp.objective_sense]
-    fin_lo = np.isfinite(lp.lower)
-    fin_up = np.isfinite(lp.upper)
+    nonneg = lp.lower == 0.0
 
     # primal feasibility
-    lo_v = np.where(fin_lo, lp.lower - x, -np.inf)
-    up_v = np.where(fin_up, x - lp.upper, -np.inf)
-    bscale = np.maximum(1.0, np.maximum(np.abs(np.where(fin_lo, lp.lower, 0.0)),
-                                        np.abs(np.where(fin_up, lp.upper, 0.0))))
     primal = _worst(
         np.abs(lp.A_eq @ x - lp.b_eq) / np.maximum(1.0, np.abs(lp.b_eq)),
         np.maximum(lp.A_ub @ x - lp.b_ub, 0.0) / np.maximum(1.0, np.abs(lp.b_ub)),
-        np.maximum(lo_v, 0.0) / bscale,
-        np.maximum(up_v, 0.0) / bscale,
+        np.maximum(-x[nonneg], 0.0),
     )
 
     # dual feasibility: multiplier signs (sign * y_ub <= 0) plus reduced-cost
-    # signs against bounds
+    # signs, >= 0 and, for a free variable, <= 0 too
     cscale = np.maximum(1.0, np.abs(lp.c))
     sr = sign * r
     dual = _worst(
         np.maximum(sign * y_ub, 0.0) / np.maximum(1.0, np.abs(y_ub)),
-        np.maximum(sr[~fin_lo], 0.0) / cscale[~fin_lo],
-        np.maximum(-sr[~fin_up], 0.0) / cscale[~fin_up],
+        np.maximum(sr[~nonneg], 0.0) / cscale[~nonneg],
+        np.maximum(-sr, 0.0) / cscale,
     )
 
     # complementary slackness
     slack = lp.b_ub - lp.A_ub @ x
-    r_lo = np.maximum(sr, 0.0)   # pairs with the lower bound
-    r_up = np.maximum(-sr, 0.0)  # pairs with the upper bound
-    gap_lo = np.where(fin_lo, x - lp.lower, 0.0)
-    gap_up = np.where(fin_up, lp.upper - x, 0.0)
+    r_lo = np.maximum(sr, 0.0)  # pairs with x >= 0
+    gap_lo = np.where(nonneg, x, 0.0)
     cs = _worst(
         np.abs(y_ub * slack) / np.maximum(1.0, np.maximum(np.abs(y_ub), np.abs(slack))),
         np.abs(r_lo * gap_lo) / np.maximum(1.0, np.maximum(r_lo, np.abs(gap_lo))),
-        np.abs(r_up * gap_up) / np.maximum(1.0, np.maximum(r_up, np.abs(gap_up))),
     )
 
     # strong duality, against the objective recomputed from x
     primal_obj = float(lp.c @ x)
-    bound_terms = np.where(fin_lo, lp.lower, 0.0) * r_lo - np.where(fin_up, lp.upper, 0.0) * r_up
-    dual_obj = float(lp.b_eq @ y_eq) + float(lp.b_ub @ y_ub) + float(sign * np.sum(bound_terms))
+    dual_obj = float(lp.b_eq @ y_eq) + float(lp.b_ub @ y_ub)
     gap = _worst(
         np.abs([primal_obj - dual_obj, sol.objective - primal_obj])
     ) / max(1.0, abs(primal_obj))

@@ -779,23 +779,32 @@ class TestGenerationAndReport:
         assert main(argv + ["--lambda", "0.1"]) in (0, 2)  # one value still runs
 
     @pytest.mark.parametrize(
-        "fmt, edit",
+        "fmt, edit, key",
         [
-            ("text", lambda doc: [{"certificates": {"cps": True}}]),
-            ("csv", lambda doc: {**doc, "gap": "small"}),
-            ("text", lambda doc: {**doc, "gap": "small"}),
-            ("text", lambda doc: {**doc, "cps_feasibility_grid": [0.02]}),
+            ("text", lambda doc: [{"certificates": {"cps": True}}], "'lambda'"),
+            ("csv", lambda doc: {**doc, "gap": "small"}, "'gap'"),
+            ("text", lambda doc: {**doc, "gap": "small"}, "'gap'"),
+            ("text", lambda doc: {**doc, "cps_feasibility_grid": [0.02]}, "'cps_feasibility_grid'"),
+            (
+                "text",
+                lambda doc: {**doc, "certificates": {**doc["certificates"], "self_financing": "false"}},
+                "'self_financing'",
+            ),
+            ("text", lambda doc: {**doc, "cps_feasibility_grid": {"0.02": "false"}}, "'0.02'"),
         ],
-        ids=["no-lambda", "gap-str-csv", "gap-str-text", "grid-list"],
+        ids=["no-lambda", "gap-str-csv", "gap-str-text", "grid-list", "cert-str", "grid-value-str"],
     )
-    def test_malformed_saved_report_is_input_error(self, files, capsys, fmt, edit):
-        # each used to escape main: KeyError, ValueError, AttributeError
+    def test_malformed_saved_report_is_input_error(self, files, capsys, fmt, edit, key):
+        # the first four used to escape main (KeyError, ValueError,
+        # AttributeError); the string verdicts rendered by their truthiness,
+        # "false" as true and feasible, with exit 0
         saved = files / "saved.json"
         price = ["price", "--tree", str(files / "b1.json"), "--claim", str(files / "call.json")]
         assert main(price + ["--lambda", "0.1", "--format", "json", "--output", str(saved)]) == 0
         saved.write_text(json.dumps(edit(json.loads(saved.read_text()))))
         assert main(["report", "--input", str(saved), "--format", fmt]) == 1
-        assert capsys.readouterr().err.startswith("spreadhedge: ")
+        err = capsys.readouterr().err
+        assert err.startswith("spreadhedge: ") and key in err
 
     def test_report_without_certificates_rejected(self, tmp_path):
         from spreadhedge import ValidationError

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,8 +32,10 @@ def two_var_hedge_lp():
 
 
 def random_box_lp(seed: int) -> LinearProgram:
-    """Bounded-feasible random LP: box bounds plus inequalities slackened
-    around a random interior point, sometimes one equality through it."""
+    """Bounded-feasible random LP: inequalities slackened around a random
+    interior point of a box, sometimes one equality through it, then the box
+    as rows.  A variable whose box starts below 0 is free, with a row
+    ``-x_j <= -lower_j``; every variable has a row ``x_j <= upper_j``."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 7))
     lower = np.where(rng.random(n) < 0.5, 0.0, -rng.uniform(1, 5, n))
@@ -46,9 +50,12 @@ def random_box_lp(seed: int) -> LinearProgram:
         b_eq = A_eq @ x_hat
     c = rng.normal(size=n)
     sense = "minimize" if rng.random() < 0.5 else "maximize"
+    free = lower < 0.0
     return LinearProgram(
-        c=c, objective_sense=sense, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub,
-        lower=lower, upper=upper,
+        c=c, objective_sense=sense, A_eq=A_eq, b_eq=b_eq,
+        A_ub=np.vstack([A_ub, -np.eye(n)[free], np.eye(n)]),
+        b_ub=np.concatenate([b_ub, -lower[free], upper]),
+        lower=np.where(free, -INF, 0.0),
     )
 
 
@@ -56,12 +63,13 @@ BOUND_KINDS = ("boxed", "lower", "upper", "free", "fixed")
 
 
 def mixed_bound_lp(seed: int) -> LinearProgram:
-    """Bounded-feasible random LP holding every bound kind at once: boxed,
-    lower-only, upper-only (mirrored), free and fixed variables, with shifted
-    and negative bounds.  Two kinds of inequality row through a random point
-    close the open sides: ``-x_j <= .`` bounds each free variable below, so
-    that every term of ``sum(lower-only, free) - sum(upper-only) <= .`` is
-    bounded below and hence above, and an optimal vertex exists."""
+    """Bounded-feasible random LP over free variables holding every bound
+    kind at once, each stated as rows: boxed, lower-only, upper-only, free
+    and fixed (an equality row), with positive and negative bounds.  Two
+    kinds of inequality row through a random point close the open sides:
+    ``-x_j <= .`` bounds each unbounded variable below, so that every term
+    of ``sum(lower-only, unbounded) - sum(upper-only) <= .`` is bounded below
+    and hence above, and an optimal vertex exists."""
     rng = np.random.default_rng(seed)
     kinds = rng.permutation(BOUND_KINDS + tuple(rng.choice(BOUND_KINDS, int(rng.integers(0, 2)))))
     n = kinds.size
@@ -80,20 +88,24 @@ def mixed_bound_lp(seed: int) -> LinearProgram:
     m = int(rng.integers(1, 3))
     A_ub = np.vstack([rng.normal(size=(m, n)), opening, -np.eye(n)[kinds == "free"]])
     b_ub = A_ub @ x_hat + rng.uniform(0.1, 3.0, A_ub.shape[0])
-    A_eq = b_eq = None
+    A_eq = np.eye(n)[kinds == "fixed"]
     if rng.random() < 0.4:
-        A_eq = rng.normal(size=(1, n))
-        b_eq = A_eq @ x_hat
+        A_eq = np.vstack([A_eq, rng.normal(size=(1, n))])
     sense = "minimize" if rng.random() < 0.5 else "maximize"
+    lo = np.flatnonzero(np.isin(kinds, ("boxed", "lower")))
+    up = np.flatnonzero(np.isin(kinds, ("boxed", "upper")))
     return LinearProgram(
-        c=rng.normal(size=n), objective_sense=sense, A_eq=A_eq, b_eq=b_eq,
-        A_ub=A_ub, b_ub=b_ub, lower=lower, upper=upper,
+        c=rng.normal(size=n), objective_sense=sense, A_eq=A_eq, b_eq=A_eq @ x_hat,
+        A_ub=np.vstack([A_ub, -np.eye(n)[lo], np.eye(n)[up]]),
+        b_ub=np.concatenate([b_ub, -lower[lo], upper[up]]),
+        lower=np.full(n, -INF),
     )
 
 
 class TestSolveBasics:
     def test_lower_bound_only(self):
-        lp = LinearProgram(c=[1.0], lower=[3.0], upper=[INF])
+        # x >= 3 is a row over a nonnegative variable
+        lp = LinearProgram(c=[1.0], A_ub=[[-1.0]], b_ub=[-3.0])
         sol = solve(lp)
         assert sol.status == "optimal"
         assert abs(sol.x[0] - 3.0) < 1e-12
@@ -127,19 +139,6 @@ class TestSolveBasics:
         assert abs(sol.objective - 3.0) < 1e-9
         assert verify_certificate(lp, sol).ok
 
-    def test_fixed_variables_removed(self):
-        lp = LinearProgram(
-            c=[1.0, 2.0],
-            A_ub=[[1.0, 1.0]],
-            b_ub=[5.0],
-            lower=[2.0, 0.0],
-            upper=[2.0, INF],
-        )
-        sol = solve(lp)
-        assert sol.status == "optimal"
-        assert sol.x[0] == 2.0
-        assert abs(sol.objective - 2.0) < 1e-12
-
     def test_input_validation(self):
         with pytest.raises(ValidationError):
             LinearProgram(c=[1.0], A_ub=[[1.0]], b_ub=[np.nan])
@@ -154,10 +153,29 @@ class TestSolveBasics:
         with pytest.raises(ValidationError, match=f"^unknown objective sense '{sense}'$"):
             LinearProgram(c=[1.0], objective_sense=sense)
 
-    @pytest.mark.parametrize("lower, upper", [(INF, INF), (-INF, -INF)])
-    def test_inverted_infinite_bound_rejected(self, lower, upper):
-        # read as a free variable, such a program used to solve as "unbounded"
-        with pytest.raises(ValidationError, match=r"^a lower bound of \+inf or an upper bound of -inf admits no point$"):
+    @pytest.mark.parametrize(
+        "lower, upper, message",
+        [
+            # fixed, shifted, mirrored and boxed variables: state these as rows
+            (2.0, 2.0, "lower bound 2.0"),
+            (3.0, INF, "lower bound 3.0"),
+            (-2.0, INF, "lower bound -2.0"),
+            (-INF, 4.0, "upper bound 4.0"),
+            (0.0, 1.0, "upper bound 1.0"),
+            (np.nan, INF, "lower bound nan"),
+            (0.0, np.nan, "upper bound nan"),
+            # read as a free variable, such a program once solved as "unbounded"
+            (INF, INF, "lower bound inf"),
+            (-INF, -INF, "upper bound -inf"),
+        ],
+        ids=[
+            "fixed", "shift", "negative-shift", "mirror", "boxed",
+            "lower-nan", "upper-nan", "lower-inf", "upper-minus-inf",
+        ],
+    )
+    def test_bound_other_than_nonnegative_or_free_rejected(self, lower, upper, message):
+        must = "0 (nonnegative) or -inf (free)" if message.startswith("lower") else "+inf"
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'variable 1 has {message}; it must be {must}')}$"):
             LinearProgram(c=[1.0, 1.0], lower=[0.0, lower], upper=[INF, upper])
 
     @pytest.mark.parametrize("name", ["c", "A_eq", "A_ub"])
@@ -281,10 +299,8 @@ class TestBruteForce:
         # three constraints meet at the same corner of the unit box
         lp = LinearProgram(
             c=[-1.0, -1.0],
-            A_ub=[[1.0, 1.0], [2.0, 2.0]],
-            b_ub=[2.0, 4.0],
-            lower=[0.0, 0.0],
-            upper=[1.0, 1.0],
+            A_ub=[[1.0, 1.0], [2.0, 2.0], [1.0, 0.0], [0.0, 1.0]],
+            b_ub=[2.0, 4.0, 1.0, 1.0],
         )
         out = brute_force_vertices(lp)
         assert len(out) == 1
@@ -292,7 +308,7 @@ class TestBruteForce:
 
     def test_too_large(self):
         with pytest.raises(ValueError, match="at most 8 variables"):
-            brute_force_vertices(LinearProgram(c=np.ones(9), upper=np.full(9, 1.0)))
+            brute_force_vertices(LinearProgram(c=np.ones(9)))
 
 
 class TestOracleAgreement:
@@ -325,13 +341,12 @@ def count_phases(monkeypatch) -> list:
 
 def crash_lp() -> LinearProgram:
     """A small hedging-like program: a free endowment x0 on every row, two
-    budgets short of it, one floor; minimize x0 + 2y + z."""
+    budgets short of it, one floor, and y <= 2; minimize x0 + 2y + z."""
     return LinearProgram(
         c=[1.0, 2.0, 1.0],
-        A_ub=[[-1.0, -3.0, 1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, -1.0]],
-        b_ub=[-4.0, -1.0, 5.0],
+        A_ub=[[-1.0, -3.0, 1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, -1.0], [0.0, 1.0, 0.0]],
+        b_ub=[-4.0, -1.0, 5.0, 2.0],
         lower=[-INF, 0.0, 0.0],
-        upper=[INF, 2.0, INF],
     )
 
 
@@ -411,7 +426,7 @@ class TestOneSimplexPerSolve:
                 ),
                 "infeasible",
             ),
-            (lambda b1, c1: LinearProgram(c=[1.0], lower=[3.0], upper=[INF]), "optimal"),  # no rows
+            (lambda b1, c1: LinearProgram(c=[1.0]), "optimal"),  # no rows
         ],
         ids=["hedging", "zero-claim", "dual", "redundant-rows", "infeasible", "no-rows"],
     )
@@ -526,66 +541,41 @@ class TestPivotKernel:
 
 def per_column_standard_form(lp: LinearProgram, sign: float):
     """The standard form built one variable at a time, each variable kept as
-    a ``(kind, columns, offset)`` record: the reference for the array build.
+    a ``(kind, columns)`` record: the reference for the array build.
     Returns ``(A, b, c, slack_of_row, records)``."""
     rows = np.vstack([lp.A_eq, lp.A_ub])
-    b = np.concatenate([lp.b_eq, lp.b_ub])
     cobj = sign * lp.c
-    col_data, cost, records, bound_rows = [], [], [], []
+    col_data, cost, records = [], [], []
     for j in range(lp.n_vars):
-        lo, up = lp.lower[j], lp.upper[j]
         k = len(col_data)
-        if np.isfinite(lo) and np.isfinite(up) and up - lo <= 0.0:
-            b -= rows[:, j] * lo
-            records.append(("fixed", (), lo))
-        elif np.isfinite(lo):
-            if lo != 0.0:
-                b -= rows[:, j] * lo
-            records.append(("shift", (k,), lo))
-            if np.isfinite(up):
-                bound_rows.append((k, up - lo))
+        if lp.lower[j] == 0.0:
+            records.append(("nonnegative", (k,)))
             col_data.append(rows[:, j])
             cost.append(cobj[j])
-        elif np.isfinite(up):
-            b -= rows[:, j] * up
-            records.append(("mirror", (k,), up))
-            col_data.append(-rows[:, j])
-            cost.append(-cobj[j])
         else:
-            records.append(("split", (k, k + 1), 0.0))
+            records.append(("split", (k, k + 1)))
             col_data += [rows[:, j], -rows[:, j]]
             cost += [cobj[j], -cobj[j]]
-    n_eq, n_ub, n_bound, n_struct = lp.A_eq.shape[0], lp.A_ub.shape[0], len(bound_rows), len(col_data)
-    m = n_eq + n_ub + n_bound
-    A = np.zeros((m, n_struct + n_ub + n_bound))
+    n_eq, n_ub, n_struct = lp.A_eq.shape[0], lp.A_ub.shape[0], len(col_data)
+    A = np.zeros((n_eq + n_ub, n_struct + n_ub))
     for k, vec in enumerate(col_data):
-        A[: n_eq + n_ub, k] = vec
-    slack_of_row = np.full(m, -1, dtype=np.int64)
-    for i in range(n_ub + n_bound):
+        A[:, k] = vec
+    slack_of_row = np.full(n_eq + n_ub, -1, dtype=np.int64)
+    for i in range(n_ub):
         A[n_eq + i, n_struct + i] = 1.0
         slack_of_row[n_eq + i] = n_struct + i
-    for i, (k, _) in enumerate(bound_rows):
-        A[n_eq + n_ub + i, k] = 1.0
-    b = np.concatenate([b, np.array([r for _, r in bound_rows])])
-    c = np.concatenate([np.array(cost), np.zeros(n_ub + n_bound)])
+    b = np.concatenate([lp.b_eq, lp.b_ub])
+    c = np.concatenate([np.array(cost), np.zeros(n_ub)])
     return A, b, c, slack_of_row, records
 
 
 def per_kind_recover(records, t: np.ndarray) -> np.ndarray:
-    out = []
-    for kind, cols, offset in records:
-        if kind == "fixed":
-            out.append(offset)
-        elif kind == "shift":
-            out.append(offset + t[cols[0]])
-        elif kind == "mirror":
-            out.append(offset - t[cols[0]])
-        else:
-            out.append(t[cols[0]] - t[cols[1]])
-    return np.array(out)
+    return np.array([t[cols[0]] if kind == "nonnegative" else t[cols[0]] - t[cols[1]] for kind, cols in records])
 
 
 def standard_form_corpus():
+    """The random corpora, and the programs the library solves: the hedging
+    LPs of suite 1-10 under four caps and their dual LPs."""
     from tests.test_acceptance import suite_instance  # that module imports this one
 
     for seed in range(100):
@@ -593,7 +583,12 @@ def standard_form_corpus():
         yield f"mixed {seed}", mixed_bound_lp(seed)
     for seed in range(1, 11):
         tree, claim, lam = suite_instance(seed)
-        for cap in (AdmissibilityCap.unbounded(), AdmissibilityCap.numeraire_based(100.0)):
+        for cap in (
+            AdmissibilityCap.unbounded(),
+            AdmissibilityCap.numeraire_based(0.0),
+            AdmissibilityCap.numeraire_based(100.0),
+            AdmissibilityCap.numeraire_free(1.0),
+        ):
             yield f"primal {seed} {cap.kind} {cap.bound}", build_primal(tree, lam, claim, cap)
         yield f"dual {seed}", build_dual(tree, lam, claim)
 
@@ -615,7 +610,7 @@ class TestStandardForm:
         for name, lp in standard_form_corpus():
             sf = _standard_form(lp, _SENSES[lp.objective_sense])
             records = per_column_standard_form(lp, 1.0)[4]
-            kinds |= {kind for kind, _, _ in records}
+            kinds |= {kind for kind, _ in records}
             t = rng.uniform(0.0, 10.0, sf.A.shape[1])
             assert np.array_equal(sf.recover(t), per_kind_recover(records, t)), name
-        assert kinds == {"fixed", "shift", "mirror", "split"}
+        assert kinds == {"nonnegative", "split"}
