@@ -31,9 +31,9 @@ from .scenario_tree import (
     PriceModel,
     ScenarioTree,
     _number,
+    _tree_from_document,
     dumps_tree,
     generate_random_tree,
-    load_tree,
 )
 from .strategy import (
     AdmissibilityCap,
@@ -54,18 +54,7 @@ from .superhedge import (
 __all__ = ["emit_report", "parse_payoff_expr", "main"]
 
 CSV_COLUMNS = [
-    "lambda",
-    "primal",
-    "dual",
-    "gap",
-    "mode",
-    "cap",
-    "cert_self_financing",
-    "cert_terminal_dominates",
-    "cert_admissibility",
-    "cert_cps",
-    "cert_supermartingale",
-    "cert_complementary_slackness",
+    "lambda", "primal", "dual", "gap", "mode", "cap", *(f"cert_{key}" for key in SuperHedgeReport.CERTIFICATES)
 ]
 
 
@@ -219,11 +208,7 @@ def _read_json(path: str) -> dict:
 
 
 def _load_tree(path: str) -> ScenarioTree:
-    try:
-        with open(path, "rb") as fh:
-            return load_tree(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return _tree_from_document(_read_json(path))
 
 
 def _load_claim(args: argparse.Namespace, tree: ScenarioTree) -> ClaimSpec:
@@ -256,14 +241,28 @@ def emit_report(report, fmt: str, grid: dict | None = None) -> str:
     """Render one report or a curve of reports deterministically.
 
     ``report`` is a ``SuperHedgeReport``, a list of them (a friction curve),
-    or an equivalent plain dict previously produced by the JSON format.
-    Reports with no certificates are rejected, and so are plain dicts
-    lacking a key the renderers read or holding a value of the wrong type;
+    or the plain JSON the JSON format produced, whose own grid replaces
+    ``grid``.  Reports with no certificates are rejected, and so are plain
+    dicts lacking a key the renderers read, holding a value of the wrong
+    type, or whose certificates are not exactly ``SuperHedgeReport.CERTIFICATES``;
     a certificate is ``true``, ``false`` or ``null`` (rendered ``n/a``).
     ``grid``, the ``--check-lambdas`` verdicts ``{repr(lambda'): feasible}``,
     follows as text lines or as the JSON key ``cps_feasibility_grid`` (a
     curve then sits under ``curve``); CSV leaves it out.
     """
+    grid = {} if grid is None else grid
+    if isinstance(report, dict):
+        # saved by `price --check-lambdas`: a report, or {"curve": [...]}, with its grid
+        if "cps_feasibility_grid" in report:
+            report = dict(report)
+            grid = report.pop("cps_feasibility_grid")
+        report = report.get("curve", report)
+    if not isinstance(grid, dict):
+        raise ValidationError(f"'cps_feasibility_grid' must be an object, got {type(grid).__name__}")
+    for k, v in grid.items():
+        _numeric("'cps_feasibility_grid' key")(k)  # the text form sorts the keys as numbers
+        if not isinstance(v, bool):
+            raise ValidationError(f"'cps_feasibility_grid' value for {k!r} must be true or false, got {v!r}")
     reports = report if isinstance(report, list) else [report]
     if not reports:
         raise ValidationError("nothing to render")
@@ -284,7 +283,12 @@ def emit_report(report, fmt: str, grid: dict | None = None) -> str:
             raise ValidationError(str(exc)) from exc
         if not isinstance(d["mode"], str):
             raise ValidationError(f"report 'mode' must be a string, got {d['mode']!r}")
-        for key, v in d["certificates"].items():
+        certs = d["certificates"]
+        unknown = [key for key in certs if key not in SuperHedgeReport.CERTIFICATES]
+        missing = [key for key in SuperHedgeReport.CERTIFICATES if key not in certs]
+        if unknown or missing:
+            raise ValidationError(f"report certificate names: unknown {unknown}, missing {missing}")
+        for key, v in certs.items():
             if v is not None and not isinstance(v, bool):
                 raise ValidationError(f"report certificate {key!r} must be true, false or null, got {v!r}")
         dicts.append(d)
@@ -308,7 +312,7 @@ def emit_report(report, fmt: str, grid: dict | None = None) -> str:
                 "gap": f"{float(d['gap']):.1e}",
                 "mode": d["mode"],
                 "cap": str(d["cap"]),
-                **{key: _fmt_bool(c.get(key[5:])) for key in CSV_COLUMNS[6:]},
+                **{f"cert_{key}": _fmt_bool(c[key]) for key in SuperHedgeReport.CERTIFICATES},
             }
         )
 
@@ -327,8 +331,8 @@ def emit_report(report, fmt: str, grid: dict | None = None) -> str:
             lines.append(f"gap       {row['gap']}")
             lines.append(f"mode/cap  {row['mode']} / {row['cap']}")
             lines.append("certificates:")
-            for key in CSV_COLUMNS[6:]:
-                lines.append(f"  {key[5:]:28s} {row[key]}")
+            for key in SuperHedgeReport.CERTIFICATES:
+                lines.append(f"  {key:28s} {row[f'cert_{key}']}")
             lines.append("")
         text = "\n".join(lines)
         if grid:
@@ -490,19 +494,7 @@ def _cmd_gen_tree(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    payload = _read_json(args.input_path)
-    grid = {}
-    if isinstance(payload, dict):
-        # saved by `price --check-lambdas`: a report, or {"curve": [...]}, with the grid
-        grid = payload.pop("cps_feasibility_grid", {})
-        payload = payload.get("curve", payload)
-    if not isinstance(grid, dict):
-        raise ValidationError(f"'cps_feasibility_grid' must be an object, got {type(grid).__name__}")
-    for k, v in grid.items():
-        _numeric("'cps_feasibility_grid' key")(k)  # the text form sorts the keys as numbers
-        if not isinstance(v, bool):
-            raise ValidationError(f"'cps_feasibility_grid' value for {k!r} must be true or false, got {v!r}")
-    _write_output(args, emit_report(payload, args.fmt, grid))
+    _write_output(args, emit_report(_read_json(args.input_path), args.fmt))
     return 0
 
 

@@ -399,14 +399,16 @@ def load_tree(source) -> ScenarioTree:
     ``source`` may be a JSON string, UTF-8 bytes, or a file-like object.  The
     expected document is ``{"depth": int, "nodes": [{"id", "parent", "time",
     "prob", "price"}, ...]}``; ids must be dense ``0..len(nodes)-1`` in any
-    order, and the root's parent is ``null``.
+    order, and the root's parent is ``null``.  A key written twice in one
+    object is not rejected: the later value wins, as in ``json.loads``.
 
     Raises
     ------
     ParseError
         Malformed JSON, missing fields, an ``id``, ``parent``, ``time`` or
         ``depth`` that is not an integer fitting in 64 bits, or a ``prob`` or
-        ``price`` that is not a JSON number.
+        ``price`` that is not a JSON number.  A bad ``depth`` is named
+        first, then the first malformed node in list order.
     ValidationError
         Structurally invalid tree; the message names the offending node.
     """
@@ -415,22 +417,33 @@ def load_tree(source) -> ScenarioTree:
         obj = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise ParseError(f"invalid JSON: {exc}") from exc
+    return _tree_from_document(obj)
+
+
+def _tree_from_document(obj) -> ScenarioTree:
+    """The tree of a parsed tree document, checked as ``load_tree`` says."""
     if not isinstance(obj, dict) or "depth" not in obj or "nodes" not in obj:
         raise ParseError('tree document must be an object with "depth" and "nodes"')
+    try:
+        depth = _int64(obj["depth"])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f'bad "depth": {exc}') from exc
     raw_nodes = obj["nodes"]
     if not isinstance(raw_nodes, list):
         raise ParseError('"nodes" must be a list')
     try:
-        # one type test per column, as for prob and price below; the walk only names the culprit
-        if not all(isinstance(item, dict) for item in raw_nodes):
-            raise TypeError
+        # one type test per column, where a node that is not an object fails
+        # its subscript; the walk only names the culprit
         ids, parent, time, prob, price = (
             [item[f] for item in raw_nodes] for f in ("id", "parent", "time", "prob", "price")
         )
         parent = [-1 if p is None else p for p in parent]
         if not {type(v) for col in (ids, parent, time) for v in col} <= {int}:
             raise TypeError
+        if not {type(v) for col in (prob, price) for v in col} <= {int, float}:
+            raise TypeError
         ids, parent, time = (np.array(col, dtype=np.int64) for col in (ids, parent, time))
+        prob, price = np.array(prob, dtype=float), np.array(price, dtype=float)
     except (KeyError, TypeError, OverflowError):
         for k, item in enumerate(raw_nodes):
             if not isinstance(item, dict):
@@ -440,25 +453,10 @@ def load_tree(source) -> ScenarioTree:
                 if item["parent"] is not None:
                     _int64(item["parent"])
                 _int64(item["time"])
-                item["prob"], item["price"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"nodes[{k}] is malformed: {exc}") from exc
-        raise  # not reached: the walk rejects what the column tests reject
-    try:
-        depth = _int64(obj["depth"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f'bad "depth": {exc}') from exc
-    try:
-        if not {type(v) for v in prob} | {type(v) for v in price} <= {int, float}:
-            raise TypeError
-        prob, price = np.array(prob, dtype=float), np.array(price, dtype=float)
-    except (TypeError, OverflowError):
-        for k, item in enumerate(raw_nodes):
-            try:
                 _number(item["prob"], "prob"), _number(item["price"], "price")
-            except (TypeError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"nodes[{k}] is malformed: {exc}") from exc
-        raise  # not reached: _number rejects what the type test and the conversion reject
+        raise  # not reached: the walk rejects what the type tests and conversions reject
     if not np.array_equal(np.sort(ids), np.arange(ids.size)):
         raise ValidationError("node ids are not dense 0..node_count-1")
     by_id = np.argsort(ids)

@@ -289,6 +289,9 @@ class SuperHedgeReport:
     # both are optimal
     primal_status = "optimal"
     dual_status = "optimal"
+    # the keys of ``certificates``, in report order
+    CERTIFICATES = ("self_financing", "terminal_dominates", "admissibility", "cps", "supermartingale",
+                    "complementary_slackness")
 
     @property
     def cps_strict(self) -> ConsistentPriceSystem | None:

@@ -29,6 +29,14 @@ RISING_JSON = json.dumps(
 )
 
 
+def _renamed(certificates: dict, key: str, new_key) -> dict:
+    """``certificates`` with ``key`` renamed ``new_key``, or dropped for None."""
+    out = {k: v for k, v in certificates.items() if k != key}
+    if new_key is not None:
+        out[new_key] = certificates[key]
+    return out
+
+
 @pytest.fixture
 def files(tmp_path):
     tree = tmp_path / "b1.json"
@@ -515,10 +523,15 @@ class TestGenerationAndReport:
             superhedge_price(tree, lam, claim, cap) for lam in (0.0, 0.05, 0.2) for cap in caps
         ]
         saved = json.loads(emit_report(reports, "json"))
+        grid = {"0.02": True, "0.3": False}
         for fmt in ("text", "csv", "json"):
             assert emit_report(saved, fmt) == emit_report(reports, fmt)
             for rep, doc in zip(reports, saved):
                 assert emit_report(doc, fmt) == emit_report(rep, fmt)
+            # saved with a grid, as `price --check-lambdas` writes it: the document carries its grid
+            for doc in (reports, reports[0]):
+                with_grid = json.loads(emit_report(doc, "json", grid))
+                assert emit_report(with_grid, fmt) == emit_report(doc, fmt, grid)
 
     def test_curve_saved_with_feasibility_grid_renders(self, files, tmp_path, capsys):
         # `report` reproduces the bytes `price` printed, the feasibility grid included
@@ -719,24 +732,34 @@ class TestGenerationAndReport:
         "argv, text, key",
         [
             (
-                ["check-strategy", "--strategy"],
+                ["check-strategy", "--tree", "b1.json", "--strategy", "twice.json"],
                 '{"initial": [0, 0], "trades": {"1": {"buy": 1}, "1": {"consume": 0}}}',
                 "1",
             ),
-            (["price", "--claim"], '{"payoffs": {"1": 20, "2": 0, "2": 50}}', "2"),
             (
-                ["verify-cps", "--cps"],
+                ["price", "--tree", "b1.json", "--claim", "twice.json"],
+                '{"payoffs": {"1": 20, "2": 0, "2": 50}}',
+                "2",
+            ),
+            (
+                ["verify-cps", "--tree", "b1.json", "--cps", "twice.json"],
                 '{"z0": {"0": 1, "1": 1, "2": 1}, "z1": {"0": 94, "1": 110, "2": 78}, "z0": {}}',
                 "z0",
             ),
+            (
+                ["price", "--tree", "twice.json", "--claim", "call.json"],
+                B1_JSON.replace('"price": 80.0', '"price": -80.0, "price": 80.0'),
+                "price",
+            ),
         ],
-        ids=["strategy", "claim", "cps"],
+        ids=["strategy", "claim", "cps", "tree"],
     )
     def test_key_written_twice_is_input_error(self, files, capsys, argv, text, key):
-        # json.load kept the later value: the strategy exited 0 with its purchase dropped
+        # json.load kept the later value: the strategy exited 0 with its
+        # purchase dropped, and the tree priced with exit 0
         (files / "twice.json").write_text(text)
-        argv = [*argv, str(files / "twice.json"), "--tree", str(files / "b1.json"), "--lambda", "0.1"]
-        assert main(argv) == 1
+        argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+        assert main(argv + ["--lambda", "0.1"]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"spreadhedge: key '{key}' is written twice in one object\n"
         assert captured.out == ""
@@ -791,13 +814,23 @@ class TestGenerationAndReport:
                 "'self_financing'",
             ),
             ("text", lambda doc: {**doc, "cps_feasibility_grid": {"0.02": "false"}}, "'0.02'"),
+            ("text", lambda doc: {**doc, "certificates": _renamed(doc["certificates"], "cps", "cpz")}, "'cpz'"),
+            (
+                "csv",
+                lambda doc: {**doc, "certificates": _renamed(doc["certificates"], "supermartingale", None)},
+                "'supermartingale'",
+            ),
         ],
-        ids=["no-lambda", "gap-str-csv", "gap-str-text", "grid-list", "cert-str", "grid-value-str"],
+        ids=[
+            "no-lambda", "gap-str-csv", "gap-str-text", "grid-list", "cert-str", "grid-value-str",
+            "cert-renamed", "cert-missing",
+        ],
     )
     def test_malformed_saved_report_is_input_error(self, files, capsys, fmt, edit, key):
         # the first four used to escape main (KeyError, ValueError,
         # AttributeError); the string verdicts rendered by their truthiness,
-        # "false" as true and feasible, with exit 0
+        # "false" as true and feasible, with exit 0; a renamed or missing
+        # certificate rendered as n/a, with exit 0
         saved = files / "saved.json"
         price = ["price", "--tree", str(files / "b1.json"), "--claim", str(files / "call.json")]
         assert main(price + ["--lambda", "0.1", "--format", "json", "--output", str(saved)]) == 0

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spreadhedge import (
+    AdmissibilityCap,
     BadFrictionGap,
     ClaimSpec,
     ConsistentPriceSystem,
@@ -418,6 +419,63 @@ class TestMix:
         a = random_cps(tree, lam, seed)
         b = random_cps(tree, lam, seed + 1)
         assert verify_cps(tree, lam, mix_cps(a, b, mu))
+
+
+def _boundary_b1(b1):
+    """A price system on ``b1`` whose support leaves out node 2."""
+    return ConsistentPriceSystem.from_maps(b1, {0: 1.0, 1: 1.0}, {0: 94.0, 1: 110.0})
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda b1, cps: AdmissibilityCap("numeraire", 1.0),
+            ValidationError,
+            "unknown admissibility kind 'numeraire'",
+        ),
+        (
+            lambda b1, cps: AdmissibilityCap("numeraire_based", -1.0),
+            ValidationError,
+            "admissibility bound must be >= 0, got -1.0",
+        ),
+        (lambda b1, cps: ClaimSpec({1: 0.0, 2: 0.0}, "floor"), ValidationError, "unknown bound kind 'floor'"),
+        (
+            lambda b1, cps: Strategy((0.0, 0.0), [0.0, 0.0, 0.0], [0.0, 0.0], [0.0, 0.0, 0.0]),
+            ShapeMismatch,
+            "buy/sell/consume must be equal-length vectors",
+        ),
+        (
+            lambda b1, cps: make_ask_strategy(b1, [1, 2], {1: 1.0, 2: -0.5}),
+            ValidationError,
+            "ask strategy needs nonnegative share counts, got -0.5 at node 2",
+        ),
+        (lambda b1, cps: mix_cps(cps, cps, 1.5), ValidationError, "mixing weight must be in [0, 1], got 1.5"),
+        (
+            lambda b1, cps: mix_cps(cps, cps, -0.25),
+            ValidationError,
+            "mixing weight must be in [0, 1], got -0.25",
+        ),
+        (
+            lambda b1, cps: mix_cps(cps, _boundary_b1(b1), 0.5),
+            MismatchedTrees,
+            "price systems live on different supports",
+        ),
+        (
+            lambda b1, cps: ConsistentPriceSystem.from_maps(b1, {0: 1.0, 1: 1.0}, {0: 94.0}),
+            ShapeMismatch,
+            "node 1 present in only one of z0/z1",
+        ),
+    ],
+    ids=[
+        "cap-kind", "cap-negative", "claim-bound-kind", "strategy-lengths", "ask-negative",
+        "mix-weight-above", "mix-weight-below", "mix-supports", "from-maps-one-map",
+    ],
+)
+def test_outside_input_is_rejected_with_its_message(b1, cps_b1, build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        build(b1, cps_b1)
+    assert info.type is error
 
 
 class TestRandomCps:

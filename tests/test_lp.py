@@ -447,6 +447,50 @@ class TestOneSimplexPerSolve:
         assert len(built) == 1
 
 
+class TestDriveOut:
+    @pytest.mark.parametrize(
+        "lp, y_eq",
+        [
+            # phase 1 ends at once, its artificial basic at zero
+            (LinearProgram(c=[1.0, 1.0], A_eq=[[-1.0, -1.0]], b_eq=[0.0]), [-1.0]),
+            (LinearProgram(c=[1.0, -1.0], A_eq=[[-1.0, -1.0], [1.0, -1.0]], b_eq=[0.0, 0.0]), [0.0, 1.0]),
+        ],
+        ids=["one-artificial", "two-artificials"],
+    )
+    def test_artificials_left_basic_at_zero_are_pivoted_out(self, lp, y_eq, monkeypatch):
+        import spreadhedge.lp as lp_module
+
+        events = []
+        phase, pivot = lp_module._phase, lp_module._Simplex.pivot
+
+        def recorded_phase(sx, c):
+            events.append(("phase", sx.basis.copy(), c))
+            status = phase(sx, c)
+            events.append(("end", sx.iterations))
+            return status
+
+        def recorded_pivot(sx, p, j, d):
+            events.append(("pivot", int(p), int(j)))
+            pivot(sx, p, j, d)
+
+        monkeypatch.setattr(lp_module, "_phase", recorded_phase)
+        monkeypatch.setattr(lp_module._Simplex, "pivot", recorded_pivot)
+        sol = solve(lp)
+        assert sol.status == "optimal" and sol.objective == 0.0 and sol.iterations == 0
+        assert sol.certificate.ok
+        assert np.array_equal(sol.x, [0.0, 0.0]) and np.array_equal(sol.y_eq, y_eq)
+        # phase 1 pivots nothing; one drive-out pivot per artificial enters
+        # a structural column at its row; phase 2 starts with no artificial basic
+        rows = len(y_eq)
+        (_, start, c1), (_, phase1_iterations), *pivots, (_, basis, _), _ = events
+        assert phase1_iterations == 0
+        artificials = np.flatnonzero(c1 == 1.0)
+        assert np.array_equal(start, artificials) and artificials.size == rows
+        assert sorted(p for _, p, _ in pivots) == list(range(rows))
+        assert all(j < lp.n_vars for _, _, j in pivots)
+        assert not np.isin(basis, artificials).any()
+
+
 def kernel_corpus(b1, c1):
     """Hedging LPs of suite 1-10 under three caps, the dual LP of ``b1``
     (equality rows first, then phase 1) and ``random_box_lp(7)``."""

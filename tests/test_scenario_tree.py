@@ -188,6 +188,18 @@ class TestValidationRules:
         with pytest.raises(ParseError, match="^bad \"depth\""):
             load_tree(_edited_b1(lambda doc, nodes: doc.update(depth=float("inf"))))
 
+    def test_first_malformed_node_is_named(self):
+        # a bad price at node 1 and a bad id at node 2: node 1 comes first
+        # in list order, whichever field is at fault
+        text = _edited_b1(lambda doc, nodes: (nodes[1].update(price="120"), nodes[2].update(id=2.5)))
+        with pytest.raises(ParseError, match=r"^nodes\[1\] is malformed: price must be a JSON number"):
+            load_tree(text)
+
+    def test_bad_depth_is_named_before_a_bad_node(self):
+        text = _edited_b1(lambda doc, nodes: (doc.update(depth="1"), nodes[0].update(id=None)))
+        with pytest.raises(ParseError, match='^bad "depth": expected an integer'):
+            load_tree(text)
+
     @pytest.mark.parametrize(
         "field, value", [("price", "100"), ("prob", True), ("price", 10**400)]
     )
