@@ -27,23 +27,17 @@ from .errors import (
 )
 from .cps import concatenate_cps
 from .scenario_tree import (
+    AdmissibilityCap,
     ClaimSpec,
     PriceModel,
     ScenarioTree,
     _number,
+    _parse_json,
     _tree_from_document,
     dumps_tree,
     generate_random_tree,
 )
-from .strategy import (
-    AdmissibilityCap,
-    Strategy,
-    _admissibility,
-    _minimal_bound,
-    _rate,
-    is_self_financing,
-    liquidation_values,
-)
+from .strategy import Strategy, _rate, is_self_financing, liquidation_values
 from .superhedge import (
     SuperHedgeReport,
     has_cps,
@@ -186,21 +180,10 @@ def parse_payoff_expr(text: str):
 # document IO
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object as a dict; a key written twice is a ``ParseError``, where
-    ``json`` would keep the later value silently."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ParseError(f"key {key!r} is written twice in one object")
-        obj[key] = value
-    return obj
-
-
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            return _parse_json(fh.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
@@ -223,7 +206,7 @@ def _load_claim(args: argparse.Namespace, tree: ScenarioTree) -> ClaimSpec:
 
 
 def _cap(args: argparse.Namespace) -> AdmissibilityCap:
-    kind = "numeraire_based" if args.mode == "nb" else "numeraire_free"
+    kind = {mode: kind for kind, mode in AdmissibilityCap.MODES.items()}[args.mode]
     return AdmissibilityCap(kind, args.cap)
 
 
@@ -427,9 +410,10 @@ def _cmd_check_strategy(args: argparse.Namespace) -> int:
     lam = args.lam
     sf = is_self_financing(tree, lam, strat)
     values = liquidation_values(tree, lam, strat)
-    adm = _admissibility(tree, values, _cap(args))
-    min_nb = _minimal_bound(tree, values, "numeraire_based")
-    min_nf = _minimal_bound(tree, values, "numeraire_free")
+    adm = _cap(args).check(tree.price, values)
+    min_nb, min_nf = (
+        AdmissibilityCap(kind).minimal_bound(tree.price, values) for kind in AdmissibilityCap.MODES
+    )
     payload = {
         "self_financing": sf.ok,
         "violations": [list(v) for v in sf.violations],
@@ -579,10 +563,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--claim-expr", dest="claim_expr")
         sp.add_argument("--bound", default="constant", choices=["constant", "stock_bond"], dest="bound_kind")
 
+    def capped(sp):  # the cap's kind by its short name, the first the default
+        modes = list(AdmissibilityCap.MODES.values())
+        sp.add_argument("--mode", default=modes[0], choices=modes)
+        sp.add_argument("--cap", default=math.inf, type=_numeric("--cap", _cap_bound))
+
     sp = priced("price", _cmd_price, "super-replication price with certificates")
     claim(sp)
-    sp.add_argument("--mode", default="nb", choices=["nb", "nf"])
-    sp.add_argument("--cap", default=math.inf, type=_numeric("--cap", _cap_bound))
+    capped(sp)
     sp.add_argument(
         "--check-lambdas", default=(), type=_numeric("--check-lambdas", _rate, many=True), dest="check_lambdas"
     )
@@ -594,8 +582,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = priced("check-strategy", _cmd_check_strategy, "self-financing and admissibility checks")
     sp.add_argument("--strategy", required=True, dest="strategy_path")
-    sp.add_argument("--mode", default="nb", choices=["nb", "nf"])
-    sp.add_argument("--cap", default=math.inf, type=_numeric("--cap", _cap_bound))
+    capped(sp)
 
     sp = priced("variation-bound", _cmd_variation_bound, "expected bond-variation bound check")
     sp.add_argument("--strategy", required=True, dest="strategy_path")

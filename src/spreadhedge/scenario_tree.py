@@ -250,7 +250,78 @@ def is_antichain(tree: ScenarioTree, nodes: Iterable[int]) -> bool:
     return True
 
 
-_BOUND_KINDS = ("constant", "stock_bond")
+@dataclass(frozen=True)
+class AdmissibilityCheck:
+    ok: bool
+    witness: tuple[int, float, float] | None  # node, value, floor
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+@dataclass(frozen=True)
+class AdmissibilityCap:
+    """The paper's two admissibility notions: liquidation value floored at
+    ``-bound`` units of one bond (numéraire-based) or of one bond and one
+    share, ``1 + S`` (numéraire-free).  ``bound`` is a float, ``inf`` for none."""
+
+    kind: str
+    bound: float = float("inf")
+
+    MODES = {"numeraire_based": "nb", "numeraire_free": "nf"}  # short names: --mode, a report's "mode"
+
+    def __post_init__(self):
+        if self.kind not in self.MODES:
+            raise ValidationError(f"unknown admissibility kind {self.kind!r}")
+        if isinstance(self.bound, bool) or not isinstance(self.bound, (int, float, np.integer, np.floating)):
+            raise ValidationError(f"admissibility bound must be a number, got {self.bound!r}")
+        bound = float(self.bound)
+        if not (bound >= 0.0):
+            raise ValidationError(f"admissibility bound must be >= 0, got {bound}")
+        object.__setattr__(self, "bound", bound)
+
+    @classmethod
+    def unbounded(cls) -> "AdmissibilityCap":
+        return cls("numeraire_based")
+
+    @classmethod
+    def numeraire_based(cls, m: float) -> "AdmissibilityCap":
+        return cls("numeraire_based", m)
+
+    @classmethod
+    def numeraire_free(cls, m: float) -> "AdmissibilityCap":
+        return cls("numeraire_free", m)
+
+    @property
+    def is_bounded(self) -> bool:
+        return np.isfinite(self.bound)
+
+    def unit(self, price) -> np.ndarray:
+        """One unit of the cap's kind in bonds at each ``price``."""
+        price = np.asarray(price, dtype=float)
+        return np.ones_like(price) if self.kind == "numeraire_based" else 1.0 + price
+
+    def floor(self, price) -> np.ndarray:
+        return -self.bound * self.unit(price)
+
+    def check(self, price, values) -> AdmissibilityCheck:
+        """Liquidation ``values`` against the floor at ``price``: the witness is
+        the first node (ascending id) more than 1e-9 below it, with its value
+        and floor."""
+        floors = self.floor(price)
+        bad = np.flatnonzero(values < floors - 1e-9)
+        if bad.size:
+            i = int(bad[0])
+            return AdmissibilityCheck(False, (i, float(values[i]), float(floors[i])))
+        return AdmissibilityCheck(True, None)
+
+    def minimal_bound(self, price, values) -> float:
+        """Smallest ``M >= 0`` whose floor ``values`` meet; only the kind counts."""
+        return float(max(0.0, (-values / self.unit(price)).max()))
+
+
+# a claim's lower-bound hypothesis, in the unit of an admissibility kind
+_BOUND_KINDS = {"constant": "numeraire_based", "stock_bond": "numeraire_free"}
 
 
 def _leaf_id(key) -> int:
@@ -268,9 +339,10 @@ class ClaimSpec:
     in id order, so resolving the claim on a tree is one comparison.
 
     ``bound_kind`` records which lower-bound hypothesis the claim is declared
-    under: ``"constant"`` (uniform bond floor) or ``"stock_bond"`` (floor of
-    the form -M(1+S)).  On a finite tree either bound always exists; the kind
-    is metadata surfaced in pricing reports.
+    under: ``"constant"`` (a floor of -M bonds) or ``"stock_bond"`` (-M(1+S)),
+    the units of the numéraire-based and numéraire-free ``AdmissibilityCap``.
+    On a finite tree either bound always exists; the kind is metadata
+    surfaced in pricing reports.
     """
 
     payoffs: Mapping[int, float]
@@ -306,11 +378,8 @@ class ClaimSpec:
 
     def lower_bound(self, tree: ScenarioTree) -> float:
         """Smallest M >= 0 such that the declared floor holds at every leaf."""
-        x = self.payoff_vector(tree)
-        if self.bound_kind == "constant":
-            return float(max(0.0, -x.min()))
-        s = tree.price[tree.leaves]
-        return float(max(0.0, (-x / (1.0 + s)).max()))
+        cap = AdmissibilityCap(_BOUND_KINDS[self.bound_kind])
+        return cap.minimal_bound(tree.price[tree.leaves], self.payoff_vector(tree))
 
     def to_json(self) -> dict:
         return {
@@ -345,6 +414,42 @@ def _read_source(source) -> str:
     if isinstance(source, str):
         return source
     raise ParseError(f"unsupported source type {type(source).__name__}")
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key written twice is a ``ParseError``, where
+    ``json`` would keep the later value silently."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"key {key!r} is written twice in one object")
+        obj[key] = value
+    return obj
+
+
+def _parse_json(text: str):
+    """``json.loads(text)``, where a key written twice in one object is a
+    ``ParseError`` naming it.  The ``_unique_keys`` hook costs a third of a
+    large tree's parse, so the text is parsed bare first and kept when its
+    colons number exactly the keys of the top object, the objects among its
+    values and those among the items of its list and object values (every
+    object of a tree, claim, strategy or price-system document).  A repeated
+    key, a colon inside a string or a deeper object makes the counts differ,
+    and then the hook's parse decides."""
+    try:
+        obj = json.loads(text)
+        objects = [obj] if type(obj) is dict else []
+        for value in obj.values() if objects else ():
+            items = value.values() if type(value) is dict else value if type(value) is list else ()
+            if type(value) is dict:
+                objects.append(value)
+            if set(map(type, items)) <= {dict}:
+                objects.extend(items)
+        if text.count(":") == sum(map(len, objects)):
+            return obj
+    except ValueError:
+        pass  # the hook's parse raises the error, or names a repeated key ahead of it
+    return json.loads(text, object_pairs_hook=_unique_keys)
 
 
 def _int64(value) -> int:
@@ -399,22 +504,22 @@ def load_tree(source) -> ScenarioTree:
     ``source`` may be a JSON string, UTF-8 bytes, or a file-like object.  The
     expected document is ``{"depth": int, "nodes": [{"id", "parent", "time",
     "prob", "price"}, ...]}``; ids must be dense ``0..len(nodes)-1`` in any
-    order, and the root's parent is ``null``.  A key written twice in one
-    object is not rejected: the later value wins, as in ``json.loads``.
+    order, and the root's parent is ``null``.
 
     Raises
     ------
     ParseError
-        Malformed JSON, missing fields, an ``id``, ``parent``, ``time`` or
-        ``depth`` that is not an integer fitting in 64 bits, or a ``prob`` or
-        ``price`` that is not a JSON number.  A bad ``depth`` is named
-        first, then the first malformed node in list order.
+        Malformed JSON, a key written twice in one object, missing fields,
+        an ``id``, ``parent``, ``time`` or ``depth`` that is not an integer
+        fitting in 64 bits, or a ``prob`` or ``price`` that is not a JSON
+        number.  A bad ``depth`` is named first, then the first malformed
+        node in list order.
     ValidationError
         Structurally invalid tree; the message names the offending node.
     """
     text = _read_source(source)
     try:
-        obj = json.loads(text)
+        obj = _parse_json(text)
     except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise ParseError(f"invalid JSON: {exc}") from exc
     return _tree_from_document(obj)

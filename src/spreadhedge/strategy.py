@@ -25,7 +25,9 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .scenario_tree import ScenarioTree, _finite, _node_map, _number, _object, _stop_above
+from .scenario_tree import (
+    AdmissibilityCap, AdmissibilityCheck, ScenarioTree, _finite, _node_map, _number, _object, _stop_above
+)
 
 __all__ = [
     "Strategy",
@@ -232,62 +234,6 @@ def liquidation_values(tree: ScenarioTree, lam, strategy: Strategy) -> np.ndarra
     return portfolio_path(tree, lam, strategy).liquidation
 
 
-@dataclass(frozen=True)
-class AdmissibilityCap:
-    """Floor on liquidation value: ``-M`` in bonds, or ``-M(1+S)`` in the
-    symmetric bond-plus-stock unit."""
-
-    kind: str
-    bound: float = float("inf")
-
-    def __post_init__(self):
-        if self.kind not in ("numeraire_based", "numeraire_free"):
-            raise ValidationError(f"unknown admissibility kind {self.kind!r}")
-        if not (self.bound >= 0.0):
-            raise ValidationError(f"admissibility bound must be >= 0, got {self.bound}")
-
-    @classmethod
-    def unbounded(cls) -> "AdmissibilityCap":
-        return cls("numeraire_based", float("inf"))
-
-    @classmethod
-    def numeraire_based(cls, m: float) -> "AdmissibilityCap":
-        return cls("numeraire_based", float(m))
-
-    @classmethod
-    def numeraire_free(cls, m: float) -> "AdmissibilityCap":
-        return cls("numeraire_free", float(m))
-
-    @property
-    def is_bounded(self) -> bool:
-        return np.isfinite(self.bound)
-
-    def floor(self, price: np.ndarray) -> np.ndarray:
-        if self.kind == "numeraire_based":
-            return np.full_like(np.asarray(price, dtype=float), -self.bound)
-        return -self.bound * (1.0 + np.asarray(price, dtype=float))
-
-
-@dataclass(frozen=True)
-class AdmissibilityCheck:
-    ok: bool
-    witness: tuple[int, float, float] | None  # node, value, floor
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _admissibility(tree: ScenarioTree, values, cap: AdmissibilityCap) -> AdmissibilityCheck:
-    """``check_admissibility`` on derived liquidation values; an unbounded
-    cap's floor is ``-inf`` everywhere, so nothing fails."""
-    floors = cap.floor(tree.price)
-    bad = np.flatnonzero(values < floors - 1e-9)
-    if bad.size:
-        i = int(bad[0])
-        return AdmissibilityCheck(False, (i, float(values[i]), float(floors[i])))
-    return AdmissibilityCheck(True, None)
-
-
 def check_admissibility(
     tree: ScenarioTree, lam, strategy: Strategy, cap: AdmissibilityCap
 ) -> AdmissibilityCheck:
@@ -297,19 +243,12 @@ def check_admissibility(
     covers all stopping times.  Returns the first violating node (ascending
     id) with the value and floor there.
     """
-    return _admissibility(tree, liquidation_values(tree, lam, strategy), cap)
-
-
-def _minimal_bound(tree: ScenarioTree, values, kind: str) -> float:
-    """``minimal_admissibility_bound`` on liquidation values already derived."""
-    if kind == "numeraire_based":
-        return float(max(0.0, -values.min()))
-    return float(max(0.0, (-values / (1.0 + tree.price)).max()))
+    return cap.check(tree.price, liquidation_values(tree, lam, strategy))
 
 
 def minimal_admissibility_bound(tree: ScenarioTree, lam, strategy: Strategy, kind: str) -> float:
     """Smallest M >= 0 making the strategy admissible for the given kind."""
-    return _minimal_bound(tree, liquidation_values(tree, lam, strategy), kind)
+    return AdmissibilityCap(kind).minimal_bound(tree.price, liquidation_values(tree, lam, strategy))
 
 
 def _stop_trades(tree: ScenarioTree, stop, counts: Mapping[int, float], side: str) -> np.ndarray:

@@ -29,16 +29,8 @@ from .errors import (
     ValidationError,
 )
 from .lp import LinearProgram, LpSolution, solve
-from .scenario_tree import ClaimSpec, ScenarioTree
-from .strategy import (
-    AdmissibilityCap,
-    Strategy,
-    _admissibility,
-    _minimal_bound,
-    _rate,
-    is_self_financing,
-    portfolio_path,
-)
+from .scenario_tree import AdmissibilityCap, ClaimSpec, ScenarioTree
+from .strategy import Strategy, _rate, is_self_financing, portfolio_path
 
 __all__ = [
     "SuperHedgeReport",
@@ -304,7 +296,7 @@ class SuperHedgeReport:
     def to_json(self) -> dict:
         return {
             "lambda": self.lam,
-            "mode": "nb" if self.cap.kind == "numeraire_based" else "nf",
+            "mode": AdmissibilityCap.MODES[self.cap.kind],
             "cap": "inf" if not self.cap.is_bounded else self.cap.bound,
             "bound_kind": self.bound_kind,
             "claim_bound": self.claim_bound,
@@ -338,11 +330,11 @@ def _certify(tree, lam, claim, strategy, cps, cap, path=None) -> tuple[dict, flo
     certificates = {
         "self_financing": bool(is_self_financing(tree, lam, strategy)),
         "terminal_dominates": terminal_ok,
-        "admissibility": bool(_admissibility(tree, path.liquidation, cap)),
+        "admissibility": bool(cap.check(tree.price, path.liquidation)),
         "cps": bool(verify_cps(tree, lam, cps)),
         "supermartingale": bool(_supermartingale(tree, path, cps)),
     }
-    return certificates, _minimal_bound(tree, path.liquidation, cap.kind)
+    return certificates, cap.minimal_bound(tree.price, path.liquidation)
 
 
 def superhedge_price(
@@ -391,7 +383,7 @@ def superhedge_price(
     primal_sol, strategy = pricing_sol, extract_strategy(pricing_sol, tree)
     path = portfolio_path(tree, lam, strategy)
 
-    if cap.is_bounded and _minimal_bound(tree, path.liquidation, cap.kind) > cap.bound:
+    if cap.is_bounded and cap.minimal_bound(tree.price, path.liquidation) > cap.bound:
         primal_sol = solve(build_primal(tree, lam, claim, cap))
         if primal_sol.status != "optimal":
             raise CertificateFailure(f"capped hedging program ended with status {primal_sol.status}")
@@ -459,10 +451,8 @@ def variation_bound_check(
     leaves = tree.leaves
     if np.abs(path.phi1[leaves]).max(initial=0.0) > 1e-9:
         raise PreconditionViolated("stock position must be liquidated at every leaf")
-    bound = float(bound)
-    if bound < 0.0:
-        raise PreconditionViolated("admissibility bound must be nonnegative")
-    if not _admissibility(tree, path.liquidation, AdmissibilityCap.numeraire_free(bound)):
+    cap = AdmissibilityCap.numeraire_free(bound)
+    if not cap.check(tree.price, path.liquidation):
         raise PreconditionViolated("strategy is not admissible at the stated bound")
     if not cps_prime.strict:
         raise PreconditionViolated("price system must be strict")
@@ -472,7 +462,7 @@ def variation_bound_check(
     weights = tree.path_prob[leaves] * cps_prime.z0[leaves]
     lhs = float(weights @ (path.up0[leaves] + path.down0[leaves]))
     e_q_s = float(weights @ tree.price[leaves])
-    rhs = bound * (2.0 / (lam - lam_p) + 1.0) * (1.0 + e_q_s)
+    rhs = cap.bound * (2.0 / (lam - lam_p) + 1.0) * (1.0 + e_q_s)
     return VariationBoundCheck(lhs <= rhs + 1e-9, lhs, rhs)
 
 

@@ -19,7 +19,9 @@ from spreadhedge import (
     is_antichain,
     load_tree,
     random_cps,
+    random_strategy,
 )
+from spreadhedge import scenario_tree
 from spreadhedge.scenario_tree import _stop_above
 from tests.conftest import B1_JSON, children
 
@@ -59,6 +61,52 @@ class TestLoadTree:
             load_tree("{not json")
         with pytest.raises(ParseError):
             load_tree(json.dumps({"depth": 1}))
+
+    @pytest.mark.parametrize(
+        "anchor, repeated, key",
+        [
+            ('"price": ', '"price": -1.0, "price": ', "price"),  # the later value used to win
+            ('"depth": ', '"depth": 1, "depth": ', "depth"),
+            ('"depth": ', '"meta": {"k": 1, "k": 2}, "depth": ', "k"),  # an object outside the nodes
+        ],
+    )
+    def test_key_written_twice_is_parse_error(self, anchor, repeated, key):
+        with pytest.raises(ParseError, match=f"^key '{key}' is written twice in one object$"):
+            load_tree(B1_JSON.replace(anchor, repeated, 1))
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            '"note": "a:b", ',  # a colon inside a string
+            '"meta": {"k": 1}, ',  # an object outside the node list
+        ],
+    )
+    def test_extra_keys_still_load(self, b1, extra):
+        text = B1_JSON.replace('"depth": ', extra + '"depth": ', 1)
+        assert dumps_tree(load_tree(text)) == dumps_tree(b1)
+        # the second parse, run because the colon count differs, still names a repeated key
+        with pytest.raises(ParseError, match="^key 'price' is written twice in one object$"):
+            load_tree(text.replace('"price": ', '"price": -1.0, "price": ', 1))
+
+    def test_documents_without_repeats_skip_the_hook(self, b1, c1, monkeypatch):
+        # the duplicate-key hook parses again only when the colons outnumber
+        # the keys counted, which a tree, claim, strategy or price-system
+        # document never does unless a string holds a colon
+        calls = []
+        hook = scenario_tree._unique_keys
+        monkeypatch.setattr(scenario_tree, "_unique_keys", lambda pairs: calls.append(1) or hook(pairs))
+        documents = [
+            B1_JSON,
+            json.dumps(c1.to_json()),
+            json.dumps(random_strategy(b1, 1).to_json()),
+            json.dumps(random_cps(b1, 0.1, 1).to_json()),
+        ]
+        for text in documents:
+            assert scenario_tree._parse_json(text) == json.loads(text)
+        assert not calls
+        text = B1_JSON.replace('"depth": ', '"note": "a:b", "depth": ', 1)
+        assert scenario_tree._parse_json(text) == json.loads(text)
+        assert calls
 
     def test_bytes_and_file_sources(self, tmp_path):
         t = load_tree(B1_JSON.encode())

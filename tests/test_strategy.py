@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from spreadhedge import (
     make_bid_strategy,
     portfolio_path,
     random_strategy,
+    superhedge_price,
     total_variation,
 )
 from spreadhedge.strategy import liquidate, liquidation_values, minimal_admissibility_bound
@@ -256,6 +259,39 @@ class TestAdmissibility:
         nf = check_admissibility(tree, 0.1, strat, AdmissibilityCap.numeraire_free(m))
         if nb.ok:
             assert nf.ok
+
+    @pytest.mark.parametrize("bound", [5, np.int64(5), np.float32(5.0), 5.0])
+    def test_bound_is_kept_as_a_float(self, b1, c1, bound):
+        # an int bound used to be kept as given, so a report wrote "cap": 5
+        cap = AdmissibilityCap("numeraire_based", bound)
+        assert type(cap.bound) is float and cap.bound == 5.0
+        assert json.dumps(superhedge_price(b1, 0.1, c1, cap).to_json()["cap"]) == "5.0"
+
+    @pytest.mark.parametrize("bound", [True, False, np.bool_(True), "5", None, [5.0], 1j])
+    def test_bound_that_is_no_number_is_rejected(self, bound):
+        # True used to price as M = 1 and write "cap": true; a string or
+        # None raised a bare TypeError
+        with pytest.raises(ValidationError, match=r"^admissibility bound must be a number, got "):
+            AdmissibilityCap("numeraire_free", bound)
+        with pytest.raises(ValidationError, match=r"^admissibility bound must be a number, got "):
+            AdmissibilityCap.numeraire_based(bound)
+
+    def test_unknown_kind_is_rejected_by_the_minimal_bound(self, b1, c1_hedge):
+        # used to take the numeraire-free unit for any kind but "numeraire_based"
+        with pytest.raises(ValidationError, match="^unknown admissibility kind 'nf'$"):
+            minimal_admissibility_bound(b1, 0.1, c1_hedge, "nf")
+
+    def test_units(self):
+        price = np.array([100.0, 120.0, 80.0])
+        nb, nf = AdmissibilityCap.numeraire_based(2.0), AdmissibilityCap.numeraire_free(2.0)
+        assert nb.unit(price).tolist() == [1.0, 1.0, 1.0]
+        assert nf.unit(price).tolist() == [101.0, 121.0, 81.0]
+        assert nb.floor(price).tolist() == [-2.0, -2.0, -2.0]
+        assert nf.floor(price).tolist() == [-202.0, -242.0, -162.0]
+        values = np.array([-4.0, -121.0, 0.0])
+        assert nb.minimal_bound(price, values) == 121.0
+        assert nf.minimal_bound(price, values) == 1.0
+        assert AdmissibilityCap.unbounded().floor(price).tolist() == [-np.inf] * 3
 
 
 class TestSimpleStrategies:

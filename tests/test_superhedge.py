@@ -686,6 +686,14 @@ class TestVariationBound:
         with pytest.raises(PreconditionViolated):
             variation_bound_check(b1, 0.1, 0.05, shifted, cps, 100.0)
 
+    @pytest.mark.parametrize("bound", [-1.0, float("nan"), "1", True])
+    def test_bound_is_checked_by_the_cap(self, b1, bound):
+        # a negative bound used to be a PreconditionViolated, and a string
+        # or True was read through float()
+        cps = random_cps(b1, 0.05, 3)
+        with pytest.raises(ValidationError, match="^admissibility bound must be "):
+            variation_bound_check(b1, 0.1, 0.05, Strategy.zero(b1), cps, bound)
+
 
 class TestStructuralProperties:
     def test_price_curve_monotone(self, b1, c1):
@@ -716,6 +724,32 @@ class TestStructuralProperties:
         p_free = superhedge_price(b1, 0.1, claim).primal_value
         assert p_nb >= p_nf - 1e-9
         assert p_nf >= p_free - 1e-9
+
+    def test_cap_relations_on_suite(self):
+        # a larger M loosens either floor, and -M(1 + S) <= -M loosens nf
+        # against nb; each relation holds to one relative bound, fixed
+        # before the set was run
+        rel = 1e-9
+
+        def at_most(a, b):
+            return a <= b + rel * max(1.0, abs(b))
+
+        for seed in range(1, 21):
+            tree, claim, lam = suite_instance(seed)
+            free = superhedge_price(tree, lam, claim).primal_value
+            prices = {
+                kind: [
+                    superhedge_price(tree, lam, claim, AdmissibilityCap(kind, m)).primal_value
+                    for m in (0.0, 0.1, 1.0, 10.0)
+                ]
+                for kind in ("numeraire_based", "numeraire_free")
+            }
+            where = (seed, free, prices)
+            for p in prices.values():
+                assert all(at_most(p_next, p_m) for p_m, p_next in zip(p, p[1:])), where  # M ascending
+                assert all(at_most(free, p_m) for p_m in p), where
+            nb, nf = prices["numeraire_based"], prices["numeraire_free"]
+            assert all(at_most(p_nf, p_nb) for p_nf, p_nb in zip(nf, nb)), where
 
     def test_weak_duality_standalone(self, b1, c1):
         # any verified system prices below any feasible super-hedge
