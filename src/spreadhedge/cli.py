@@ -15,17 +15,8 @@ import math
 import os
 import sys
 
-from .cps import ConsistentPriceSystem, verify_cps
-from .errors import (
-    CertificateFailure,
-    DualInfeasible,
-    ParseError,
-    PreconditionViolated,
-    SpreadHedgeError,
-    UnverifiedInput,
-    ValidationError,
-)
-from .cps import concatenate_cps
+from .cps import ConsistentPriceSystem, concatenate_cps, verify_cps
+from .errors import ParseError, SpreadHedgeError, ValidationError
 from .scenario_tree import (
     AdmissibilityCap,
     ClaimSpec,
@@ -194,15 +185,17 @@ def _load_tree(path: str) -> ScenarioTree:
     return _tree_from_document(_read_json(path))
 
 
-def _load_claim(args: argparse.Namespace, tree: ScenarioTree) -> ClaimSpec:
-    if args.claim_expr is not None:
-        fn = parse_payoff_expr(args.claim_expr)
-        payoffs = {int(l): float(fn(float(tree.price[l]))) for l in tree.leaves}
-        return ClaimSpec(payoffs, args.bound_kind)
-    if args.claim_path is None:
-        raise ParseError("a claim file or --claim-expr is required")
-    # validated against the tree by the pricing LP's assembly
-    return ClaimSpec.from_json(_read_json(args.claim_path))
+def _load_claim(args: argparse.Namespace, tree: ScenarioTree, bound_kind: str | None = None) -> ClaimSpec:
+    """The claim of ``--claim`` or ``--claim-expr``, whichever was given; an
+    expression's lower bound is ``bound_kind``, ``constant`` when None."""
+    if args.claim_path is not None:
+        if bound_kind is not None:
+            raise ParseError('--bound applies to --claim-expr: a claim document states its own "bound"')
+        # validated against the tree by the pricing LP's assembly
+        return ClaimSpec.from_json(_read_json(args.claim_path))
+    fn = parse_payoff_expr(args.claim_expr)
+    payoffs = {int(l): float(fn(float(tree.price[l]))) for l in tree.leaves}
+    return ClaimSpec(payoffs, bound_kind or "constant")
 
 
 def _cap(args: argparse.Namespace) -> AdmissibilityCap:
@@ -366,7 +359,7 @@ def _verdict(args: argparse.Namespace, payload: dict, body: str, reason: str | N
 
 def _cmd_price(args: argparse.Namespace) -> int:
     tree = _load_tree(args.tree_path)
-    claim = _load_claim(args, tree)
+    claim = _load_claim(args, tree, args.bound_kind)
     cap = _cap(args)
     reports = [superhedge_price(tree, lam, claim, cap) for lam in args.lambdas]
     grid = {repr(lam_check): has_cps(tree, lam_check) for lam_check in args.check_lambdas}
@@ -451,14 +444,7 @@ def _cmd_concat_cps(args: argparse.Namespace) -> int:
     tree = _load_tree(args.tree_path)
     local = ConsistentPriceSystem.from_json(tree, _read_json(args.cps_path))
     glob = ConsistentPriceSystem.from_json(tree, _read_json(args.cps_global_path))
-    try:
-        out = concatenate_cps(
-            tree, args.lam, args.lam_n, args.lam_prime, set(args.stop), local, glob
-        )
-    except UnverifiedInput as exc:
-        return _finding(args, "cps_invalid", str(exc))
-    except CertificateFailure as exc:
-        return _finding(args, "certificate_failure", str(exc))
+    out = concatenate_cps(tree, args.lam, args.lam_n, args.lam_prime, set(args.stop), local, glob)
     _write_output(args, json.dumps(out.to_json(), indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -494,7 +480,8 @@ def _numeric(name: str, kind=float, many: bool = False):
     flag: ``kind`` of the text, or with ``many`` the tuple of its
     comma-separated values (none for "").  Text ``kind`` cannot convert is a
     ``ParseError`` naming ``name``; a value it converts but rejects
-    (``_rate``'s friction range, a negative cap) raises ``kind``'s own error."""
+    (``_rate``'s friction range, ``AdmissibilityCap``'s negative bound)
+    raises ``kind``'s own error."""
 
     def one(text: str):
         try:
@@ -528,13 +515,6 @@ def _one_lambda(command: str):
     return convert
 
 
-def _cap_bound(text: str) -> float:
-    cap = float(text)  # "inf" included
-    if not cap >= 0.0:
-        raise ParseError(f"--cap must be a nonnegative number or 'inf', got {text}")
-    return cap
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="spreadhedge", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -558,18 +538,22 @@ def _build_parser() -> argparse.ArgumentParser:
         io_flags(sp)
         return sp
 
-    def claim(sp):
-        sp.add_argument("--claim", dest="claim_path")
-        sp.add_argument("--claim-expr", dest="claim_expr")
-        sp.add_argument("--bound", default="constant", choices=["constant", "stock_bond"], dest="bound_kind")
+    def claim(sp):  # exactly one source
+        source = sp.add_mutually_exclusive_group(required=True)
+        source.add_argument("--claim", dest="claim_path")
+        source.add_argument("--claim-expr", dest="claim_expr")
+        return sp
+
+    # the bound M of --cap M, "inf" included, checked before any file is read
+    cap_bound = _numeric("--cap", lambda text: AdmissibilityCap.numeraire_based(float(text)).bound)
 
     def capped(sp):  # the cap's kind by its short name, the first the default
         modes = list(AdmissibilityCap.MODES.values())
         sp.add_argument("--mode", default=modes[0], choices=modes)
-        sp.add_argument("--cap", default=math.inf, type=_numeric("--cap", _cap_bound))
+        sp.add_argument("--cap", default=math.inf, type=cap_bound)
 
-    sp = priced("price", _cmd_price, "super-replication price with certificates")
-    claim(sp)
+    sp = claim(priced("price", _cmd_price, "super-replication price with certificates"))
+    sp.add_argument("--bound", choices=["constant", "stock_bond"], dest="bound_kind")  # of --claim-expr
     capped(sp)
     sp.add_argument(
         "--check-lambdas", default=(), type=_numeric("--check-lambdas", _rate, many=True), dest="check_lambdas"
@@ -588,7 +572,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strategy", required=True, dest="strategy_path")
     sp.add_argument("--cps", required=True, dest="cps_path")
     sp.add_argument("--lambda-prime", required=True, type=_numeric("--lambda-prime", _rate), dest="lam_prime")
-    sp.add_argument("--cap", required=True, type=_numeric("--cap", _cap_bound))
+    sp.add_argument("--cap", required=True, type=cap_bound)
 
     sp = priced("concat-cps", _cmd_concat_cps, "splice a stopped-market system onto a global one")
     sp.add_argument("--cps", required=True, dest="cps_path")
@@ -611,20 +595,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
         try:
+            args = _build_parser().parse_args(argv)
             return args.handler(args)
-        except DualInfeasible as exc:
-            return _finding(args, "dual_infeasible", str(exc))
-        except (CertificateFailure, UnverifiedInput, PreconditionViolated) as exc:
-            return _finding(args, "certificate_failure", str(exc))
+        except SpreadHedgeError as exc:
+            if exc.reason is None:  # unusable input, the only kind parsing raises
+                sys.stderr.write(f"spreadhedge: {exc}\n")
+                return 1
+            return _finding(args, exc.reason, str(exc))
     except SystemExit as exc:  # argparse: usage errors and --help
         return int(exc.code or 0)
-    except OSError as exc:
+    except OSError as exc:  # writing the output, a finding's included
         sys.stderr.write(f"spreadhedge: io error: {exc}\n")
-        return 1
-    except SpreadHedgeError as exc:
-        sys.stderr.write(f"spreadhedge: {exc}\n")
         return 1
 
 

@@ -2,7 +2,12 @@
 
 
 class SpreadHedgeError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``reason`` names the domain finding an error is (the CLI's exit-2
+    ``reason``); ``None`` means unusable input."""
+
+    reason: str | None = None
 
 
 class ParseError(SpreadHedgeError):
@@ -36,6 +41,8 @@ class BadFrictionGap(SpreadHedgeError):
 class UnverifiedInput(SpreadHedgeError):
     """An input price system failed verification at its declared friction."""
 
+    reason = "cps_invalid"
+
 
 class MismatchedTrees(SpreadHedgeError):
     """Two node-indexed objects do not live on the same tree."""
@@ -43,6 +50,8 @@ class MismatchedTrees(SpreadHedgeError):
 
 class PreconditionViolated(SpreadHedgeError):
     """A stated hypothesis of the check does not hold for the given inputs."""
+
+    reason = "certificate_failure"
 
 
 class NumericalBreakdown(SpreadHedgeError):
@@ -52,6 +61,10 @@ class NumericalBreakdown(SpreadHedgeError):
 class CertificateFailure(SpreadHedgeError):
     """A computed object failed its own post-hoc certificate."""
 
+    reason = "certificate_failure"
+
 
 class DualInfeasible(SpreadHedgeError):
     """No consistent price system exists: the market admits arbitrage at this friction."""
+
+    reason = "dual_infeasible"

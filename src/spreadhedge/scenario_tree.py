@@ -430,23 +430,19 @@ def _unique_keys(pairs: list) -> dict:
 def _parse_json(text: str):
     """``json.loads(text)``, where a key written twice in one object is a
     ``ParseError`` naming it.  The ``_unique_keys`` hook costs a third of a
-    large tree's parse, so the text is parsed bare first and kept when its
-    colons number exactly the keys of the top object, the objects among its
-    values and those among the items of its list and object values (every
-    object of a tree, claim, strategy or price-system document).  A repeated
-    key, a colon inside a string or a deeper object makes the counts differ,
-    and then the hook's parse decides."""
+    large tree's parse, so the text is parsed bare first and kept as soon as
+    the keys of its objects, counted one nesting level at a time, number its
+    colons.  A colon inside a string can only raise the colon count and a
+    repeated key only lower the key count, so the counts never meet over a
+    repeated key; when they do not meet, the hook's parse decides."""
     try:
         obj = json.loads(text)
-        objects = [obj] if type(obj) is dict else []
-        for value in obj.values() if objects else ():
-            items = value.values() if type(value) is dict else value if type(value) is list else ()
-            if type(value) is dict:
-                objects.append(value)
-            if set(map(type, items)) <= {dict}:
-                objects.extend(items)
-        if text.count(":") == sum(map(len, objects)):
-            return obj
+        colons, keys, level = text.count(":"), 0, [obj]
+        while level:
+            keys += sum(len(v) for v in level if type(v) is dict)
+            if keys == colons:
+                return obj
+            level = [x for v in level if type(v) in (dict, list) for x in (v.values() if type(v) is dict else v)]
     except ValueError:
         pass  # the hook's parse raises the error, or names a repeated key ahead of it
     return json.loads(text, object_pairs_hook=_unique_keys)

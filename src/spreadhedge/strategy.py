@@ -48,6 +48,9 @@ __all__ = [
     "random_strategy",
 ]
 
+# a trade or consumption above -SIGN_TOL has a nonnegative sign
+SIGN_TOL = 1e-9
+
 
 def _rate(lam) -> float:
     """The proportional friction rate: buy at ``S``, sell at ``(1 - lam) * S``."""
@@ -216,7 +219,7 @@ def is_self_financing(tree: ScenarioTree, lam, strategy: Strategy) -> SelfFinanc
     tree.check_size("strategy", strategy.node_count)
     violations = []
     for name, arr in (("buy", strategy.buy), ("sell", strategy.sell), ("consume", strategy.consume)):
-        bad = np.flatnonzero(arr < -1e-9)
+        bad = np.flatnonzero(arr < -SIGN_TOL)
         for i in bad:
             violations.append((int(i), name, float(arr[i])))
     violations.sort()

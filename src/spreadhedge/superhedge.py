@@ -30,7 +30,7 @@ from .errors import (
 )
 from .lp import LinearProgram, LpSolution, solve
 from .scenario_tree import AdmissibilityCap, ClaimSpec, ScenarioTree
-from .strategy import Strategy, _rate, is_self_financing, portfolio_path
+from .strategy import SIGN_TOL, Strategy, _rate, is_self_financing, portfolio_path
 
 __all__ = [
     "SuperHedgeReport",
@@ -49,6 +49,8 @@ GAP_TOL = 1e-7
 # hedging LPs of suite 1-200 under four caps, every such entry is at most
 # 5.1e-15 of its hedge's largest trade and every real one at least 9.2e-6
 DUST = 1e-12
+# a final stock holding within FLAT_TOL of zero is liquidated
+FLAT_TOL = 1e-9
 
 
 def build_primal(tree: ScenarioTree, lam, claim: ClaimSpec, cap: AdmissibilityCap) -> LinearProgram:
@@ -180,14 +182,14 @@ def extract_strategy(solution: LpSolution, tree: ScenarioTree) -> Strategy:
     both ways; a round trip only costs the spread, and dropping it only adds
     bonds.  Net trades smaller than ``DUST`` times the largest net trade
     (scale floored at 1) are solver roundoff and become zero.  A holding
-    carried into a leaf is roundoff below that threshold and below 1e-9, the
-    terminal certificate's tolerance on a final holding, and is kept; each
-    leaf liquidates any other holding ``h`` (sells ``h`` at the bid, or buys
-    ``-h`` at the ask), so every hedge ends within 1e-9 of flat; nothing is
-    consumed.  The endowment stays the LP's ``x0``.  A solution of another
-    size is a ``ShapeMismatch``.  Tiny negative trade values are clamped to
-    zero before netting; anything beyond 1e-9 fails the financing
-    certificate.
+    carried into a leaf is roundoff below that threshold and below
+    ``FLAT_TOL``, the terminal certificate's tolerance on a final holding,
+    and is kept; each leaf liquidates any other holding ``h`` (sells ``h`` at
+    the bid, or buys ``-h`` at the ask), so every hedge ends within
+    ``FLAT_TOL`` of flat; nothing is consumed.  The endowment stays the LP's
+    ``x0``.  A solution of another size is a ``ShapeMismatch``.  Tiny
+    negative trade values are clamped to zero before netting; anything
+    beyond ``SIGN_TOL`` fails the financing certificate.
     """
     if solution.status != "optimal":
         raise CertificateFailure(f"primal solution status is {solution.status}")
@@ -199,7 +201,7 @@ def extract_strategy(solution: LpSolution, tree: ScenarioTree) -> Strategy:
         )
     trades = np.asarray(solution.x[1:], dtype=float).reshape(2, internal.size)
     worst = trades.min(initial=0.0)
-    if worst < -1e-9:
+    if worst < -SIGN_TOL:
         raise CertificateFailure(f"extracted trades violate nonnegativity by {-worst}")
     bought, sold = np.maximum(trades, 0.0)
     net = bought - sold
@@ -208,7 +210,7 @@ def extract_strategy(solution: LpSolution, tree: ScenarioTree) -> Strategy:
     buy, sell = np.zeros((2, n))
     buy[internal], sell[internal] = np.maximum(net, 0.0), np.maximum(-net, 0.0)
     held = (tree.path_sum(buy) - tree.path_sum(sell))[tree.parent[leaves]]
-    held[np.abs(held) < min(dust, 1e-9)] = 0.0
+    held[np.abs(held) < min(dust, FLAT_TOL)] = 0.0
     buy[leaves], sell[leaves] = np.maximum(-held, 0.0), np.maximum(held, 0.0)
     return Strategy((float(solution.x[0]), 0.0), buy, sell, np.zeros(n))
 
@@ -324,7 +326,7 @@ def _certify(tree, lam, claim, strategy, cps, cap, path=None) -> tuple[dict, flo
     leaves = tree.leaves
     scale = np.maximum(1.0, np.abs(x))
     terminal_ok = bool(
-        (np.abs(path.phi1[leaves]) <= 1e-9).all()
+        (np.abs(path.phi1[leaves]) <= FLAT_TOL).all()
         and ((path.phi0[leaves] - x) >= -1e-9 * scale).all()
     )
     certificates = {
@@ -449,7 +451,7 @@ def variation_bound_check(
         raise PreconditionViolated("strategy is not self-financing at its rate")
     path = portfolio_path(tree, lam, strategy)
     leaves = tree.leaves
-    if np.abs(path.phi1[leaves]).max(initial=0.0) > 1e-9:
+    if np.abs(path.phi1[leaves]).max(initial=0.0) > FLAT_TOL:
         raise PreconditionViolated("stock position must be liquidated at every leaf")
     cap = AdmissibilityCap.numeraire_free(bound)
     if not cap.check(tree.price, path.liquidation):

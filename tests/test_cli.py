@@ -848,3 +848,156 @@ class TestGenerationAndReport:
         stripped = tmp_path / "stripped.json"
         stripped.write_text(json.dumps({"lambda": 0.1, "primal": 1.0, "certificates": {}}))
         assert main(["report", "--input", str(stripped), "--format", "text"]) == 1
+
+
+class TestClaimSource:
+    def _price(self, files, *flags):
+        return ["price", "--tree", str(files / "b1.json"), "--lambda", "0.1", *flags]
+
+    @pytest.mark.parametrize("command", ["price", "dual"])
+    def test_both_claim_sources_is_usage_error(self, files, capsys, command):
+        # the expression used to win, the claim file dropped without a word
+        argv = [command, "--tree", str(files / "b1.json"), "--lambda", "0.1"]
+        assert main(argv + ["--claim", str(files / "call.json"), "--claim-expr", "S"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.endswith(
+            f"spreadhedge {command}: error: argument --claim-expr: not allowed with argument --claim\n"
+        ), captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["price", "dual"])
+    def test_no_claim_source_is_usage_error(self, files, capsys, command):
+        assert main([command, "--tree", str(files / "b1.json"), "--lambda", "0.1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: spreadhedge {command} "), err
+        assert err.endswith(
+            f"spreadhedge {command}: error: one of the arguments --claim --claim-expr is required\n"
+        ), err
+
+    @pytest.mark.parametrize("kind", ["constant", "stock_bond"])
+    def test_bound_beside_claim_file_is_input_error(self, files, capsys, kind):
+        # the document's own "bound" used to win, the flag dropped without a word
+        assert main(self._price(files, "--claim", str(files / "call.json"), "--bound", kind)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            'spreadhedge: --bound applies to --claim-expr: a claim document states its own "bound"\n'
+        )
+        assert captured.out == ""
+
+    def test_bound_sets_the_expression_claims_kind(self, files, capsys):
+        for flags, kind in ((), "constant"), (("--bound", "stock_bond"), "stock_bond"):
+            assert main(self._price(files, "--claim-expr", "S", "--format", "json", *flags)) == 0
+            assert json.loads(capsys.readouterr().out)["bound_kind"] == kind
+
+    def test_dual_has_no_bound_flag(self, files, capsys):
+        # used to be accepted and to change nothing
+        argv = ["dual", "--tree", str(files / "b1.json"), "--lambda", "0.1", "--claim-expr", "S"]
+        assert main(argv + ["--bound", "stock_bond"]) == 1
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --bound stock_bond\n")
+
+
+class TestFindingsAndCap:
+    @pytest.mark.parametrize("cap", ["-1", "nan"])
+    def test_bad_cap_is_rejected_before_any_file_is_read(self, tmp_path, capsys, cap):
+        missing = str(tmp_path / "missing.json")
+        for argv in (
+            ["price", "--tree", missing, "--claim-expr", "0", "--lambda", "0.1", "--cap", cap],
+            [
+                "variation-bound", "--tree", missing, "--strategy", missing, "--cps", missing,
+                "--lambda", "0.1", "--lambda-prime", "0.05", "--cap", cap,
+            ],
+        ):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"spreadhedge: admissibility bound must be >= 0, got {float(cap)}\n"
+            assert captured.out == ""
+
+    def test_finding_to_an_unwritable_output_is_io_error(self, files, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "x.json"
+        argv = [
+            "price", "--tree", str(files / "rising.json"), "--claim-expr", "0", "--lambda", "0.1",
+            "--output", str(out),
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("spreadhedge: io error: ")
+        assert not out.parent.exists()
+
+    def test_failed_splice_is_certificate_failure(self, files, capsys, monkeypatch):
+        from spreadhedge import CertificateFailure, cli
+
+        def fail(*args):
+            raise CertificateFailure("spliced system fails at the target rate")
+
+        monkeypatch.setattr(cli, "concatenate_cps", fail)
+        argv = [
+            "concat-cps", "--tree", str(files / "b1.json"), "--cps", str(files / "z.json"),
+            "--cps-global", str(files / "z.json"), "--lambda", "0.2", "--lambda-n", "0.05",
+            "--lambda-prime", "0.05", "--stop", "0",
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == "reason: certificate_failure\nspliced system fails at the target rate\n"
+
+    def test_dual_with_a_failed_price_system_is_certificate_failure(self, files, capsys, monkeypatch):
+        import dataclasses
+
+        from spreadhedge import cli
+
+        def failing(*args):
+            report = superhedge_price(*args)
+            return dataclasses.replace(report, certificates={**report.certificates, "cps": False})
+
+        monkeypatch.setattr(cli, "superhedge_price", failing)
+        argv = ["dual", "--tree", str(files / "b1.json"), "--claim", str(files / "call.json"), "--lambda", "0.1"]
+        assert main(argv + ["--format", "json"]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "reason": "certificate_failure", "detail": "optimal price system fails verification"
+        }
+
+    @pytest.mark.parametrize(
+        "error, reason",
+        [
+            ("DualInfeasible", "dual_infeasible"),
+            ("CertificateFailure", "certificate_failure"),
+            ("PreconditionViolated", "certificate_failure"),
+            ("UnverifiedInput", "cps_invalid"),
+            ("ParseError", None),
+            ("ValidationError", None),
+            ("SpreadHedgeError", None),
+        ],
+    )
+    def test_each_error_names_its_finding(self, error, reason):
+        import spreadhedge
+
+        assert getattr(spreadhedge, error).reason == reason
+
+
+class TestSavedReportParse:
+    @pytest.mark.parametrize(
+        "flags",
+        [["--lambda", "0.1"], ["--lambda", "0.01,0.05,0.1"], ["--lambda", "0.01,0.05", "--check-lambdas", "0.02"]],
+        ids=["report", "curve", "curve-with-grid"],
+    )
+    def test_saved_report_skips_the_duplicate_key_hook(self, tmp_path, capsys, monkeypatch, flags):
+        from spreadhedge import scenario_tree
+
+        tree = tmp_path / "tree.json"
+        tree.write_text(dumps_tree(generate_random_tree(1, 3, 2)))
+        saved = tmp_path / "saved.json"
+        price = ["price", "--tree", str(tree), "--claim-expr", "max(S-100,0)", "--format", "json"]
+        assert main([*price, *flags, "--output", str(saved)]) == 0
+        calls = []
+        hook = scenario_tree._unique_keys
+        monkeypatch.setattr(scenario_tree, "_unique_keys", lambda pairs: calls.append(1) or hook(pairs))
+        assert main(["report", "--input", str(saved), "--format", "json"]) == 0
+        assert capsys.readouterr().out == saved.read_text()
+        assert not calls
+
+    def test_key_written_twice_in_a_saved_trade_is_input_error(self, files, capsys):
+        saved = files / "saved.json"
+        price = ["price", "--tree", str(files / "b1.json"), "--claim", str(files / "call.json")]
+        assert main(price + ["--lambda", "0.1", "--format", "json", "--output", str(saved)]) == 0
+        text = saved.read_text()
+        assert '"buy": ' in text
+        saved.write_text(text.replace('"buy": ', '"buy": 0.0, "buy": ', 1))
+        assert main(["report", "--input", str(saved)]) == 1
+        assert capsys.readouterr().err == "spreadhedge: key 'buy' is written twice in one object\n"

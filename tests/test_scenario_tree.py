@@ -116,6 +116,30 @@ class TestLoadTree:
         with open(p, "rb") as fh:
             assert load_tree(fh).node_count == 3
 
+    def test_colon_inside_a_string_loads(self):
+        assert scenario_tree._parse_json('{"a": "x:y"}') == {"a": "x:y"}
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (b"\xff" + B1_JSON.encode(), "^tree document is not UTF-8: "),
+            (42, "^unsupported source type int$"),
+        ],
+        ids=["not-utf-8", "not-text"],
+    )
+    def test_unreadable_source_is_parse_error(self, source, message):
+        with pytest.raises(ParseError, match=message):
+            load_tree(source)
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [({}, '^"nodes" must be a list$'), ([1], r"^nodes\[0\] is not an object$")],
+        ids=["object", "list-of-numbers"],
+    )
+    def test_nodes_not_a_list_of_objects_is_parse_error(self, nodes, message):
+        with pytest.raises(ParseError, match=message):
+            load_tree(json.dumps({"depth": 1, "nodes": nodes}))
+
     def test_three_period_binary_tree_has_15_nodes(self):
         # recombining-style prices (u*d = 1) on a non-recombining node set
         nodes = [{"id": 0, "parent": None, "time": 0, "prob": 1.0, "price": 100.0}]
