@@ -26,9 +26,10 @@ def main():
 
     curve = price_curve(tree, claim, grid)
     print(f"{'lambda':>8} {'price':>14} {'premium over frictionless':>28}")
-    base = curve[0][1]
-    for lam, price in curve:
-        print(f"{lam:8.2f} {price:14.6f} {price - base:28.6f}")
+    base = curve[0].primal_value
+    for report in curve:
+        price = report.primal_value
+        print(f"{report.lam:8.2f} {price:14.6f} {price - base:28.6f}")
     print()
     print("price_curve already certifies the curve is nondecreasing")
     print()

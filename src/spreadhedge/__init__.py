@@ -25,6 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .scenario_tree import (
+    AdmissibilityCap,
     ClaimSpec,
     PriceModel,
     ScenarioTree,
@@ -34,7 +35,6 @@ from .scenario_tree import (
     load_tree,
 )
 from .strategy import (
-    AdmissibilityCap,
     PortfolioPath,
     Strategy,
     check_admissibility,

@@ -22,6 +22,7 @@ from .scenario_tree import (
     ClaimSpec,
     PriceModel,
     ScenarioTree,
+    _BOUND_KINDS,
     _number,
     _parse_json,
     _tree_from_document,
@@ -32,6 +33,7 @@ from .strategy import Strategy, _rate, is_self_financing, liquidation_values
 from .superhedge import (
     SuperHedgeReport,
     has_cps,
+    price_curve,
     superhedge_price,
     variation_bound_check,
 )
@@ -361,7 +363,7 @@ def _cmd_price(args: argparse.Namespace) -> int:
     tree = _load_tree(args.tree_path)
     claim = _load_claim(args, tree, args.bound_kind)
     cap = _cap(args)
-    reports = [superhedge_price(tree, lam, claim, cap) for lam in args.lambdas]
+    reports = price_curve(tree, claim, args.lambdas, cap)
     grid = {repr(lam_check): has_cps(tree, lam_check) for lam_check in args.check_lambdas}
     _write_output(args, emit_report(reports, args.fmt, grid))
     return 0 if all(r.all_certified() for r in reports) else 2
@@ -553,7 +555,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--cap", default=math.inf, type=cap_bound)
 
     sp = claim(priced("price", _cmd_price, "super-replication price with certificates"))
-    sp.add_argument("--bound", choices=["constant", "stock_bond"], dest="bound_kind")  # of --claim-expr
+    sp.add_argument("--bound", choices=list(_BOUND_KINDS), dest="bound_kind")  # of --claim-expr
     capped(sp)
     sp.add_argument(
         "--check-lambdas", default=(), type=_numeric("--check-lambdas", _rate, many=True), dest="check_lambdas"

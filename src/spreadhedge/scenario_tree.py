@@ -22,6 +22,8 @@ from .errors import NotAnAntichain, ParseError, ShapeMismatch, UnknownNode, Vali
 __all__ = [
     "ScenarioTree",
     "ClaimSpec",
+    "AdmissibilityCap",
+    "AdmissibilityCheck",
     "PriceModel",
     "load_tree",
     "dumps_tree",

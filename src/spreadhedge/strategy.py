@@ -31,10 +31,8 @@ from .scenario_tree import (
 
 __all__ = [
     "Strategy",
-    "AdmissibilityCap",
     "PortfolioPath",
     "SelfFinancingCheck",
-    "AdmissibilityCheck",
     "portfolio_path",
     "is_self_financing",
     "liquidate",

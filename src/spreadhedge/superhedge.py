@@ -315,13 +315,12 @@ class SuperHedgeReport:
         }
 
 
-def _certify(tree, lam, claim, strategy, cps, cap, path=None) -> tuple[dict, float]:
+def _certify(tree, lam, claim, strategy, cps, cap) -> tuple[dict, float]:
     """Judge a hedge and a price system, whichever engine made them, deriving
-    the hedge's holdings (``path``, unless the caller has them) and the leaf
-    payoffs once.  Returns the certificates, ``admissibility`` judged under
-    ``cap``, and the hedge's own minimal bound for ``cap.kind``."""
-    if path is None:
-        path = portfolio_path(tree, lam, strategy)
+    the hedge's holdings and the leaf payoffs once.  Returns the
+    certificates, ``admissibility`` judged under ``cap``, and the hedge's own
+    minimal bound for ``cap.kind``."""
+    path = portfolio_path(tree, lam, strategy)
     x = claim.payoff_vector(tree)
     leaves = tree.leaves
     scale = np.maximum(1.0, np.abs(x))
@@ -357,17 +356,17 @@ def superhedge_price(
     z0 + phi1 * z1`` of hedge and price system a supermartingale under the
     physical measure (shadow wealth as a Q-supermartingale, in division-free
     form, valid whether or not the density vanishes somewhere).
-    A bounded cap that the cap-free hedge meets (its minimal bound of the
-    cap's kind is at most M) keeps that hedge, optimal for the capped program
-    too.  A binding cap adds one solve of the capped hedging LP for the hedge
-    and the primal value; the dual value and price system stay those of the
-    cap-free program.  The capped price may be higher.  The capped LP starts
-    feasible, at the no-trade hedge, and is bounded whenever the cap-free one
-    is, so a capped solve without an optimum is a solver fault: it raises
-    ``CertificateFailure``, as on the cap-free LP.  ``DualInfeasible`` is
-    raised when the unbounded-cap LP is unbounded, that is, when no price
-    system exists at all: the market itself admits arbitrage at this
-    friction.
+    A cap that the cap-free hedge meets (the minimal bound its certification
+    reports for the cap's kind is at most M) keeps that hedge, optimal for the
+    capped program too.  A binding cap adds one solve of the capped hedging
+    LP, whose hedge is certified in turn and gives the primal value; the dual
+    value and price system stay those of the cap-free program.  The capped
+    price may be higher.  The capped LP starts feasible, at the no-trade
+    hedge, and is bounded whenever the cap-free one is, so a capped solve
+    without an optimum is a solver fault: it raises ``CertificateFailure``, as
+    on the cap-free LP.  ``DualInfeasible`` is raised when the unbounded-cap
+    LP is unbounded, that is, when no price system exists at all: the market
+    itself admits arbitrage at this friction.
     """
     lam = _rate(lam)
     cap = cap or AdmissibilityCap.unbounded()
@@ -383,17 +382,17 @@ def superhedge_price(
     dual_value = expected_claim(tree, cps, claim)
     complementary_slackness = pricing_sol.certificate.ok
     primal_sol, strategy = pricing_sol, extract_strategy(pricing_sol, tree)
-    path = portfolio_path(tree, lam, strategy)
+    certificates, computed_bound = _certify(tree, lam, claim, strategy, cps, cap)
 
-    if cap.is_bounded and cap.minimal_bound(tree.price, path.liquidation) > cap.bound:
+    if computed_bound > cap.bound:  # the cap binds; an unbounded cap never does
         primal_sol = solve(build_primal(tree, lam, claim, cap))
         if primal_sol.status != "optimal":
             raise CertificateFailure(f"capped hedging program ended with status {primal_sol.status}")
         complementary_slackness = complementary_slackness and primal_sol.certificate.ok
-        strategy, path = extract_strategy(primal_sol, tree), None
+        strategy = extract_strategy(primal_sol, tree)
+        certificates, computed_bound = _certify(tree, lam, claim, strategy, cps, cap)
 
     primal_value = primal_sol.objective
-    certificates, computed_bound = _certify(tree, lam, claim, strategy, cps, cap, path)
     certificates["complementary_slackness"] = complementary_slackness
 
     gap = abs(primal_value - dual_value)
@@ -473,22 +472,20 @@ def price_curve(
     claim: ClaimSpec,
     lambdas,
     cap: AdmissibilityCap | None = None,
-) -> list[tuple[float, float]]:
-    """Super-replication price per friction level, checked nondecreasing.
+) -> list[SuperHedgeReport]:
+    """The ``superhedge_price`` report per friction level, prices certified
+    nondecreasing at 1e-9 relative: a wider spread only adds price systems.
 
-    ``lambdas`` must be ascending values in [0, 1).  Evaluations are
+    ``lambdas`` must be strictly ascending values in [0, 1).  Evaluations are
     independent and could run in parallel; they are run sequentially here.
     """
     lams = [float(v) for v in lambdas]
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValidationError("friction grid must be strictly ascending")
-    out = []
-    for lam in lams:
-        report = superhedge_price(tree, lam, claim, cap)
-        out.append((lam, report.primal_value))
-    for (la, pa), (lb, pb) in zip(out, out[1:]):
-        if pb < pa - 1e-9 * max(1.0, abs(pa)):
+    reports = [superhedge_price(tree, lam, claim, cap) for lam in lams]
+    for a, b in zip(reports, reports[1:]):
+        if b.primal_value < a.primal_value - 1e-9 * max(1.0, abs(a.primal_value)):
             raise CertificateFailure(
-                f"price decreased from {pa} at {la} to {pb} at {lb}"
+                f"price decreased from {a.primal_value} at {a.lam} to {b.primal_value} at {b.lam}"
             )
-    return out
+    return reports

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -213,6 +214,31 @@ class TestPriceCommand:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("lambdas", ["0.05,0.01", "0.1,0.1", "0,0.2,0.1"])
+    def test_lambda_list_must_be_strictly_ascending(self, files, capsys, lambdas):
+        # such a list used to be priced in the order given
+        argv = ["price", "--tree", str(files / "b1.json"), "--claim", str(files / "call.json")]
+        assert main(argv + ["--lambda", lambdas]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "spreadhedge: friction grid must be strictly ascending\n"
+        assert captured.out == ""
+
+    def test_decreasing_curve_is_certificate_failure(self, files, capsys, monkeypatch):
+        # such a curve used to be printed with exit 0
+        import dataclasses
+
+        import spreadhedge.superhedge as sh
+
+        def falling(tree, lam, claim, cap=None):
+            return dataclasses.replace(superhedge_price(tree, lam, claim, cap), primal_value=1.0 - lam)
+
+        monkeypatch.setattr(sh, "superhedge_price", falling)
+        argv = ["price", "--tree", str(files / "b1.json"), "--claim", str(files / "call.json")]
+        assert main(argv + ["--lambda", "0,0.1", "--format", "json"]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "reason": "certificate_failure", "detail": "price decreased from 1.0 at 0.0 to 0.9 at 0.1"
+        }
 
     def test_output_file(self, files, tmp_path):
         out = tmp_path / "report.json"
@@ -848,6 +874,38 @@ class TestGenerationAndReport:
         stripped = tmp_path / "stripped.json"
         stripped.write_text(json.dumps({"lambda": 0.1, "primal": 1.0, "certificates": {}}))
         assert main(["report", "--input", str(stripped), "--format", "text"]) == 1
+
+
+class TestEmitReport:
+    def test_null_certificate_renders_as_n_a(self, files, capsys):
+        saved = files / "saved.json"
+        price = ["price", "--tree", str(files / "b1.json"), "--claim", str(files / "call.json")]
+        assert main(price + ["--lambda", "0.1", "--format", "json", "--output", str(saved)]) == 0
+        doc = json.loads(saved.read_text())
+        doc["certificates"]["cps"] = None
+        saved.write_text(json.dumps(doc))
+        assert main(["report", "--input", str(saved), "--format", "text"]) == 0
+        assert "\n  cps                          n/a\n" in capsys.readouterr().out
+        assert main(["report", "--input", str(saved), "--format", "csv"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["cert_cps"] == "n/a"
+
+    @pytest.mark.parametrize(
+        "edit, fmt, message",
+        [
+            (lambda doc: {"curve": []}, "text", "nothing to render"),
+            (lambda doc: {"curve": [doc, 5]}, "text", "a report must be an object, got int"),
+            (lambda doc: {**doc, "mode": 1}, "csv", "report 'mode' must be a string, got 1"),
+            (lambda doc: doc, "xml", "unknown format 'xml'"),
+        ],
+        ids=["empty-curve", "report-not-object", "mode-not-string", "unknown-format"],
+    )
+    def test_unrenderable_input_is_validation_error(self, b1, c1, edit, fmt, message):
+        from spreadhedge import ValidationError
+
+        doc = edit(superhedge_price(b1, 0.1, c1).to_json())
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            emit_report(doc, fmt)
 
 
 class TestClaimSource:

@@ -466,10 +466,37 @@ def _boundary_b1(b1):
             ShapeMismatch,
             "node 1 present in only one of z0/z1",
         ),
+        (
+            lambda b1, cps: stopped_martingale_check(b1, [1.0, -1.0, 1.0], {1, 2}, 10.0),
+            PreconditionViolated,
+            "process must be nonnegative",
+        ),
+        (
+            lambda b1, cps: verify_cps(b1, 0.1, _boundary_b1(b1)),
+            ShapeMismatch,
+            "price system undefined on required nodes [2]",
+        ),
+        (
+            # cps_b1's z1 = 110 at the up leaf is below the 0.05 band [114, 120]
+            lambda b1, cps: concatenate_cps(b1, 0.2, 0.05, 0.05, {0}, random_cps(b1, 0.05, 1), cps),
+            UnverifiedInput,
+            "global system fails at its rate: "
+            "{'root': 0.0, 'martingale': 0.0, 'spread': 0.03333333333333333, 'nonnegative': 0.0}",
+        ),
+        (
+            # verified at 0.2, with no weight on the down leaf
+            lambda b1, cps: concatenate_cps(
+                b1, 0.9, 0.05, 0.2, {0}, random_cps(b1, 0.05, 1),
+                ConsistentPriceSystem([1.0, 2.0, 0.0], [100.0, 200.0, 0.0]),
+            ),
+            UnverifiedInput,
+            "global system must have a strictly positive density",
+        ),
     ],
     ids=[
         "cap-kind", "cap-negative", "claim-bound-kind", "strategy-lengths", "ask-negative",
         "mix-weight-above", "mix-weight-below", "mix-supports", "from-maps-one-map",
+        "stopped-negative", "verify-undefined-node", "concat-global-unverified", "concat-global-not-strict",
     ],
 )
 def test_outside_input_is_rejected_with_its_message(b1, cps_b1, build, error, message):

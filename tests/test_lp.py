@@ -583,6 +583,34 @@ class TestPivotKernel:
         assert sum(priced) > 0
 
 
+class TestAntiCycling:
+    def test_kuhns_cycling_example_ends_under_blands_rule(self, monkeypatch):
+        # Kuhn's example: under the largest-violation rule the simplex stalls
+        # at the degenerate origin, so the stall switch to Bland's rule must
+        # end it, at the optimum -2 with x = (2, 0, 2, 0)
+        import spreadhedge.lp as lp_module
+
+        modes = []
+        leaving_row = lp_module._Simplex._leaving_row
+
+        def recorded(self, x_B, d, bland):
+            modes.append(bland)
+            return leaving_row(self, x_B, d, bland)
+
+        monkeypatch.setattr(lp_module._Simplex, "_leaving_row", recorded)
+        lp = LinearProgram(
+            c=[-2.0, -3.0, 1.0, 12.0],
+            A_ub=[[-2.0, -9.0, 1.0, 9.0], [1.0 / 3.0, 1.0, -1.0 / 3.0, -2.0], [2.0, 3.0, -1.0, -12.0]],
+            b_ub=[0.0, 0.0, 2.0],
+        )
+        sol = solve(lp)
+        assert sol.status == "optimal"
+        assert abs(sol.objective + 2.0) <= 1e-12
+        assert np.abs(sol.x - [2.0, 0.0, 2.0, 0.0]).max() <= 1e-12
+        assert sol.certificate.ok and verify_certificate(lp, sol).ok
+        assert modes[0] is False and True in modes
+
+
 def per_column_standard_form(lp: LinearProgram, sign: float):
     """The standard form built one variable at a time, each variable kept as
     a ``(kind, columns)`` record: the reference for the array build.

@@ -10,6 +10,7 @@ from spreadhedge import (
     BadFriction,
     NotAnAntichain,
     ParseError,
+    PreconditionViolated,
     ShapeMismatch,
     Strategy,
     ValidationError,
@@ -354,6 +355,13 @@ class TestLowerFrictionTransform:
     def test_rejects_larger_target_rate(self, b1, c1_hedge):
         with pytest.raises(BadFriction):
             lower_friction_transform(b1, c1_hedge, 0.1, 0.2)
+
+    def test_rejects_input_that_is_not_self_financing(self, b1):
+        inject = Strategy((0.0, 0.0), np.zeros(3), np.zeros(3), [-1.0, 0.0, 0.0])  # bonds from nowhere
+        with pytest.raises(
+            PreconditionViolated, match="^input strategy was not self-financing at its declared rate$"
+        ):
+            lower_friction_transform(b1, inject, 0.1, 0.05)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(seed=st.integers(1, 10_000))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -367,6 +368,12 @@ class TestExtractStrategy:
         hedge = extract_strategy(LpSolution("optimal", x=x), tree)
         assert hedge.buy[tree.internal].tolist() == [1e3, 0.0, 0.0]
 
+    def test_trade_below_sign_tolerance_is_a_certificate_failure(self, b1):
+        # -1e-10 is clamped to zero (above); -1 is no roundoff
+        sol = LpSolution("optimal", x=np.array([10.0, -1.0, 0.0]))
+        with pytest.raises(CertificateFailure, match=r"^extracted trades violate nonnegativity by 1\.0$"):
+            extract_strategy(sol, b1)
+
     def test_large_claims_end_within_tolerance_of_flat(self):
         # payoffs of about 1e6 make the largest net trade 7.7e5 shares, so
         # DUST of it (7.7e-7) exceeds the terminal certificate's 1e-9 on a
@@ -571,6 +578,33 @@ class TestSuperhedgePrice:
             rep = superhedge_price(tree, lam, claim, cap)
             assert rep.all_certified() and len(calls) == count, cap
 
+    def test_binding_is_read_off_the_certified_bound(self, monkeypatch):
+        # the cap-free hedge is certified first; the capped program is solved
+        # exactly when the minimal bound that certification reports exceeds M
+        import spreadhedge.superhedge as sh
+
+        bounds, solves, seen = [], [], set()
+        certify_once = sh._certify
+
+        def certify(*args):
+            out = certify_once(*args)
+            bounds.append(out[1])
+            return out
+
+        monkeypatch.setattr(sh, "_certify", certify)
+        monkeypatch.setattr(sh, "solve", lambda lp: solves.append(lp) or solve(lp))
+        for seed in range(1, 11):
+            tree, claim, lam = suite_instance(seed)
+            for cap in FIVE_CAPS:
+                bounds.clear()
+                solves.clear()
+                rep = superhedge_price(tree, lam, claim, cap)
+                binds = bounds[0] > cap.bound
+                assert len(solves) == len(bounds) == 1 + binds, (seed, cap)
+                assert rep.computed_cap_bound == bounds[-1], (seed, cap)
+                seen.add(binds)
+        assert seen == {True, False}
+
     def test_non_straddle_verdicts(self):
         # markets that may admit arbitrage: a tree is priced exactly when a
         # price system exists, on 261 of the 400 (tree, rate) pairs
@@ -686,6 +720,30 @@ class TestVariationBound:
         with pytest.raises(PreconditionViolated):
             variation_bound_check(b1, 0.1, 0.05, shifted, cps, 100.0)
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("bond-injection", "strategy is not self-financing at its rate"),
+            ("round-trip-at-zero", "strategy is not admissible at the stated bound"),
+            ("non-strict", "price system must be strict"),
+            ("fails-at-lam-prime", "price system fails verification at lam'"),
+        ],
+    )
+    def test_each_precondition_is_named(self, b1, cps_b1, case, message):
+        # the non-strict system verifies at 0.2 and puts no weight on node 2;
+        # cps_b1 verifies at 0.1 but its root z1 = 94 is below the 0.05 band
+        zero, strict = Strategy.zero(b1), random_cps(b1, 0.05, 3)
+        strategy, cps, bound = {
+            "bond-injection": (Strategy((0.0, 0.0), np.zeros(3), np.zeros(3), [-1.0, 0.0, 0.0]), strict, 1.0),
+            "round-trip-at-zero": (
+                Strategy.from_trades(b1, {0: {"buy": 1.0}, 1: {"sell": 1.0}, 2: {"sell": 1.0}}), strict, 0.0
+            ),
+            "non-strict": (zero, ConsistentPriceSystem([1.0, 2.0, 0.0], [100.0, 200.0, 0.0]), 0.0),
+            "fails-at-lam-prime": (zero, cps_b1, 0.0),
+        }[case]
+        with pytest.raises(PreconditionViolated, match=f"^{re.escape(message)}$"):
+            variation_bound_check(b1, 0.1, 0.05, strategy, cps, bound)
+
     @pytest.mark.parametrize("bound", [-1.0, float("nan"), "1", True])
     def test_bound_is_checked_by_the_cap(self, b1, bound):
         # a negative bound used to be a PreconditionViolated, and a string
@@ -698,14 +756,15 @@ class TestVariationBound:
 class TestStructuralProperties:
     def test_price_curve_monotone(self, b1, c1):
         out = price_curve(b1, c1, [0.0, 0.05, 0.1, 0.2])
-        prices = [p for _, p in out]
+        assert [r.lam for r in out] == [0.0, 0.05, 0.1, 0.2]
+        prices = [r.primal_value for r in out]
         assert prices == sorted(prices)
         assert abs(prices[0] - 10.0) < 1e-9
         assert abs(prices[2] - 140.0 / 9.0) < 1e-9
 
     def test_price_curve_constant_claim_flat(self, b1):
         out = price_curve(b1, ClaimSpec({1: 5.0, 2: 5.0}), [0.0, 0.1, 0.3])
-        assert all(abs(p - 5.0) < 1e-9 for _, p in out)
+        assert all(abs(r.primal_value - 5.0) < 1e-9 for r in out)
 
     def test_cash_invariance_and_homogeneity(self, b1, c1):
         base = superhedge_price(b1, 0.1, c1).primal_value
@@ -761,7 +820,39 @@ class TestStructuralProperties:
     def test_zero_claim_flat_curve(self, b1):
         zero = ClaimSpec({1: 0.0, 2: 0.0})
         out = price_curve(b1, zero, [0.0, 0.1, 0.3, 0.5])
-        assert all(abs(p) < 1e-9 for _, p in out)
+        assert all(abs(r.primal_value) < 1e-9 for r in out)
+
+    def test_price_curve_reports_are_superhedge_prices(self, b1, c1):
+        cap = AdmissibilityCap.numeraire_free(0.1)
+        lams = [0.0, 0.05, 0.2]
+        out = price_curve(b1, c1, lams, cap)
+        assert [r.to_json() for r in out] == [superhedge_price(b1, lam, c1, cap).to_json() for lam in lams]
+
+    @pytest.mark.parametrize("lams", [[0.1, 0.05], [0.0, 0.1, 0.1], [0.05, 0.2, 0.1]])
+    def test_price_curve_grid_must_be_strictly_ascending(self, b1, c1, lams, monkeypatch):
+        import spreadhedge.superhedge as sh
+
+        priced = []
+        monkeypatch.setattr(sh, "superhedge_price", lambda *args: priced.append(args))
+        with pytest.raises(ValidationError, match="^friction grid must be strictly ascending$"):
+            price_curve(b1, c1, lams)
+        assert not priced  # the grid is checked before any price is computed
+
+    def test_price_curve_decrease_is_a_certificate_failure(self, b1, c1, monkeypatch):
+        # the price cannot fall as the spread widens: a curve that falls by
+        # more than 1e-9 relative is refused, a smaller fall is roundoff
+        import spreadhedge.superhedge as sh
+
+        def priced_at(prices):
+            return lambda tree, lam, claim, cap=None: dataclasses.replace(
+                superhedge_price(tree, lam, claim, cap), primal_value=prices[lam]
+            )
+
+        monkeypatch.setattr(sh, "superhedge_price", priced_at({0.0: 1.0, 0.1: 0.9}))
+        with pytest.raises(CertificateFailure, match=r"^price decreased from 1\.0 at 0\.0 to 0\.9 at 0\.1$"):
+            price_curve(b1, c1, [0.0, 0.1])
+        monkeypatch.setattr(sh, "superhedge_price", priced_at({0.0: 1e6, 0.1: 1e6 - 1e-4}))
+        assert [r.primal_value for r in price_curve(b1, c1, [0.0, 0.1])] == [1e6, 1e6 - 1e-4]
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(seed=st.integers(1, 10_000))
